@@ -24,6 +24,12 @@ cargo build --workspace --examples
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# perfbench is a workspace of its own that calls the harness's public
+# functions; this keeps it compiling (and its own tests passing) when
+# they change.
+echo "==> perfbench tests (cargo test --manifest-path perfbench/Cargo.toml)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> trace write/read round trip (emit JSONL, re-parse with bench::minijson)"
 cargo run --release -q -p bench --bin trace_roundtrip
 

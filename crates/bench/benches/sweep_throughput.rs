@@ -67,7 +67,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         let mut field = LabelField::random(model.grid(), LABELS, &mut rng);
         let mut gibbs = SoftwareGibbs::new();
-        let solver = SweepSolver::new(&model)
+        let mut solver = SweepSolver::new(&model)
             .schedule(Schedule::constant(1.5))
             .iterations(1);
         b.iter(|| solver.run(&mut field, &mut gibbs, &mut rng));
@@ -78,7 +78,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         let mut field = LabelField::random(model.grid(), LABELS, &mut rng);
         let mut gibbs = SoftwareGibbs::new();
-        let solver = SweepSolver::new(&model)
+        let mut solver = SweepSolver::new(&model)
             .schedule(Schedule::constant(1.5))
             .iterations(1)
             .numeric(NumericPolicy::Fast);
@@ -92,7 +92,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         group.bench_function(format!("parallel/{threads}-threads"), |b| {
             let mut rng = Xoshiro256pp::seed_from_u64(7);
             let mut field = LabelField::random(model.grid(), LABELS, &mut rng);
-            let solver = ParallelSweepSolver::new(&model)
+            let mut solver = ParallelSweepSolver::new(&model)
                 .schedule(Schedule::constant(1.5))
                 .iterations(1)
                 .threads(threads)
@@ -110,7 +110,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::seed_from_u64(9);
         let mut field = annealed_field(&model, &mut rng);
         let mut gibbs = SoftwareGibbs::new();
-        let solver = SweepSolver::new(&model)
+        let mut solver = SweepSolver::new(&model)
             .schedule(Schedule::constant(COLD_TEMPERATURE))
             .iterations(ANNEALED_SWEEPS);
         b.iter(|| solver.run(&mut field, &mut gibbs, &mut rng));
@@ -119,7 +119,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::seed_from_u64(9);
         let mut field = annealed_field(&model, &mut rng);
         let mut gibbs = SoftwareGibbs::new();
-        let solver = SweepSolver::new(&model)
+        let mut solver = SweepSolver::new(&model)
             .schedule(Schedule::constant(COLD_TEMPERATURE))
             .iterations(ANNEALED_SWEEPS)
             .numeric(NumericPolicy::Fast)

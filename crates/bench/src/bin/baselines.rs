@@ -4,7 +4,9 @@
 //! with the Middlebury-style subregion decomposition the paper mentions
 //! (occluded / textureless / discontinuity).
 
-use bench::{annealing_schedule, run_stereo, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{
+    annealing_schedule, exit_usage, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS,
+};
 use mrf::{
     alpha_expansion, belief_propagation, total_energy, IcmSampler, LabelField, MrfModel, Schedule,
     SweepSolver,
@@ -15,6 +17,8 @@ use vision::metrics::{bad_pixels_by_region, compute_regions};
 use vision::StereoModel;
 
 fn main() {
+    let mut plan = RunPlan::from_args("baselines");
+    plan.reject("baselines", &["--trace"]);
     println!("Solver taxonomy on the poster-like stereo problem\n");
     let ds = scenes::stereo_poster_like(1002);
     let model = StereoModel::new(
@@ -70,10 +74,26 @@ fn main() {
     // MCMC software and RSU-G (reuse the shared driver so the annealing
     // protocol matches the rest of the evaluation).
     let t0 = std::time::Instant::now();
-    let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
+    let sw = plan
+        .stereo(
+            &ds,
+            &SamplerKind::Software,
+            STEREO_ITERATIONS,
+            11,
+            "baselines/software",
+        )
+        .unwrap_or_else(exit_usage);
     push("MCMC(float)", &sw.field, t0.elapsed().as_secs_f64());
     let t0 = std::time::Instant::now();
-    let hw = run_stereo(&ds, &SamplerKind::NewRsu, STEREO_ITERATIONS, 11, 1);
+    let hw = plan
+        .stereo(
+            &ds,
+            &SamplerKind::NewRsu,
+            STEREO_ITERATIONS,
+            11,
+            "baselines/new-RSUG",
+        )
+        .unwrap_or_else(exit_usage);
     push("new-RSUG", &hw.field, t0.elapsed().as_secs_f64());
     let _ = annealing_schedule();
 
@@ -93,4 +113,5 @@ fn main() {
         "solver,bp_all,bp_nonocc,bp_textureless,bp_discontinuity,energy",
         &csv,
     );
+    plan.finish().unwrap_or_else(exit_usage);
 }

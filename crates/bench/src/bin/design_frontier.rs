@@ -4,10 +4,14 @@
 //! replica-aware component model and scores it with the *exact*
 //! sampling-fidelity error (`rsu::analysis`), then prints the Pareto
 //! frontier of (sampling area, worst λ-ratio error).
+//!
+//! Flags: the shared chain-driver flags (`bench::plan`) except
+//! `--numeric` and `--active` (there is no chain); `--resume` names a
+//! progress file of this driver, not a chain checkpoint.
 
 use bench::minijson::Value;
 use bench::trace_jsonl::JsonlTraceWriter;
-use bench::{table, write_csv};
+use bench::{table, write_csv, Args};
 use rsu::DegradePolicy;
 use std::path::{Path, PathBuf};
 use uarch::degrade::{degraded_design_points, DegradedDesignPoint, DegradedStudySpec};
@@ -27,10 +31,11 @@ const DEGRADE_FAILED_UNITS: [usize; 2] = [1, 3];
 const DEGRADE_SEED: u64 = 2018;
 
 fn main() {
-    let threads = bench::threads_from_args();
-    let trace_path = bench::trace_path_from_args();
-    let every = bench::checkpoint::checkpoint_every_from_args();
-    let resume = bench::checkpoint::resume_path_from_args();
+    let args = Args::from_env("design_frontier", &[]);
+    args.plan
+        .reject("design_frontier", &["--numeric", "--active"]);
+    let (threads, every) = (args.plan.threads, args.plan.checkpoint_every);
+    let (resume, trace_path) = (args.resume, args.plan.trace);
     println!("§IV-B6 — synthesis of all (Time_bits, Truncation) design points\n");
     if threads > 1 {
         println!("synthesising on {threads} threads (order-preserving, identical output)\n");

@@ -1,15 +1,22 @@
 //! Figure 3: software-only vs previous RSU-G result quality (BP) across
 //! the three stereo datasets.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{exit_usage, stereo_suite, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS};
 
 fn main() {
+    let mut plan = RunPlan::from_args("fig3_prev_vs_software");
+    plan.reject("fig3_prev_vs_software", &["--trace"]);
     println!("Fig. 3 — Software-only vs previous RSU-G stereo quality (bad-pixel %)\n");
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in stereo_suite() {
-        let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-        let prev = run_stereo(&ds, &SamplerKind::PreviousRsu, STEREO_ITERATIONS, 11, 1);
+        let mut run = |kind: SamplerKind| {
+            let label = format!("fig3/{name}/{}", kind.name());
+            plan.stereo(&ds, &kind, STEREO_ITERATIONS, 11, &label)
+                .unwrap_or_else(exit_usage)
+        };
+        let sw = run(SamplerKind::Software);
+        let prev = run(SamplerKind::PreviousRsu);
         rows.push(vec![
             name.to_owned(),
             format!("{}", ds.num_disparities),
@@ -34,4 +41,5 @@ fn main() {
         "dataset,labels,software_bp,prev_rsug_bp",
         &csv,
     );
+    plan.finish().unwrap_or_else(exit_usage);
 }

@@ -9,7 +9,7 @@
 //! Per the paper's staged methodology, energy stays at 8 bits and time
 //! precision is effectively unconstrained (12 bits, truncation 0.02).
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{exit_usage, stereo_suite, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use rsu::{Conversion, RsuConfig};
 
 fn variant(lambda_bits: u32, scaling: bool, cutoff: bool, pow2: bool) -> SamplerKind {
@@ -30,6 +30,8 @@ fn variant(lambda_bits: u32, scaling: bool, cutoff: bool, pow2: bool) -> Sampler
 type Variant = (&'static str, fn(u32) -> SamplerKind);
 
 fn main() {
+    let mut plan = RunPlan::from_args("fig5a_lambda_sweep");
+    plan.reject("fig5a_lambda_sweep", &["--trace"]);
     println!("Fig. 5a — average stereo BP vs Lambda_bits for the conversion variants\n");
     let suite = stereo_suite();
     let variants: [Variant; 4] = [
@@ -45,11 +47,15 @@ fn main() {
     for lambda_bits in 3..=7u32 {
         let mut cells = vec![format!("{lambda_bits}")];
         let mut csv_cells = vec![format!("{lambda_bits}")];
-        for (_, make) in &variants {
+        for (variant, make) in &variants {
             let kind = make(lambda_bits);
             let mut total = 0.0;
-            for (_, ds) in &suite {
-                total += run_stereo(ds, &kind, STEREO_ITERATIONS, 11, 1).bp;
+            for (name, ds) in &suite {
+                let label = format!("fig5a/lb{lambda_bits}/{variant}/{name}");
+                total += plan
+                    .stereo(ds, &kind, STEREO_ITERATIONS, 11, &label)
+                    .unwrap_or_else(exit_usage)
+                    .bp;
             }
             let avg = total / suite.len() as f64;
             cells.push(format!("{avg:.1}"));
@@ -71,4 +77,5 @@ fn main() {
         "lambda_bits,prev,scaled,scaled_cutoff,scaled_cutoff_pow2",
         &csv,
     );
+    plan.finish().unwrap_or_else(exit_usage);
 }

@@ -1,10 +1,12 @@
 //! Figure 5b: per-dataset stereo BP at `Lambda_bits = 4` with the full
 //! techniques (scaling + cut-off + 2^n), against the software baseline.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{exit_usage, stereo_suite, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use rsu::{Conversion, RsuConfig};
 
 fn main() {
+    let mut plan = RunPlan::from_args("fig5b_lambda4");
+    plan.reject("fig5b_lambda4", &["--trace"]);
     println!("Fig. 5b — per-dataset BP at Lambda_bits = 4 (full techniques)\n");
     // Stage-isolated configuration: time still effectively unconstrained.
     let rsu = SamplerKind::Custom(
@@ -19,8 +21,13 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in stereo_suite() {
-        let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-        let hw = run_stereo(&ds, &rsu, STEREO_ITERATIONS, 11, 1);
+        let mut run = |kind: &SamplerKind, sampler: &str| {
+            let label = format!("fig5b/{name}/{sampler}");
+            plan.stereo(&ds, kind, STEREO_ITERATIONS, 11, &label)
+                .unwrap_or_else(exit_usage)
+        };
+        let sw = run(&SamplerKind::Software, "software");
+        let hw = run(&rsu, "rsug-lambda4");
         rows.push(vec![
             name.to_owned(),
             format!("{:.1}", sw.bp),
@@ -38,4 +45,5 @@ fn main() {
     );
     println!("paper shape: RSU-G within a few BP points of software on every dataset");
     write_csv("fig5b_lambda4", "dataset,software_bp,rsug_bp", &csv);
+    plan.finish().unwrap_or_else(exit_usage);
 }

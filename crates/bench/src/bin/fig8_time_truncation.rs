@@ -15,8 +15,10 @@
 //! truncation (over-truncation), and improves with more time bits.
 
 use bench::trace_jsonl::JsonlTraceWriter;
-use bench::{table, write_csv, SamplerKind};
-use mrf::{potential_scale_reduction, EnergyTrace, FanOut, MrfModel, Schedule};
+use bench::{exit_usage, stereo_model, table, write_csv, RunPlan, SamplerKind};
+use mrf::{
+    potential_scale_reduction, EnergyTrace, FanOut, MrfModel, NoopObserver, NumericPolicy, Schedule,
+};
 use rsu::{CensoredPolicy, CycleAccuratePipeline, DesignKind, RsuConfig};
 use vision::metrics::bad_pixel_percentage;
 use vision::StereoModel;
@@ -31,37 +33,42 @@ const TRACE_SEEDS: [u64; 3] = [11, 12, 13];
 const TRACE_EPSILON: f64 = 0.02;
 
 fn main() {
-    let threads = bench::threads_from_args();
-    let trace_path = bench::trace_path_from_args();
-    let mut ckpt = bench::checkpoint::CheckpointCtl::from_args_or_exit("fig8_time_truncation");
+    let mut plan = RunPlan::from_args("fig8_time_truncation");
     println!(
         "Fig. 8 — poster BP over Time_bits × Truncation (fixed T = {TEMPERATURE}, clamp-to-t_max)\n"
     );
-    if threads > 1 {
-        println!("running the parallel checkerboard engine on {threads} threads\n");
+    if plan.threads > 1 {
+        println!(
+            "running the parallel checkerboard engine on {} threads\n",
+            plan.threads
+        );
     }
-    if let Some(label) = ckpt.pending_resume() {
+    if plan.numeric == NumericPolicy::Fast || plan.active {
+        println!(
+            "numeric policy {:?}, active-site scheduling {}: chains run on the \
+             checkerboard engine (DESIGN §12 quality gate applies)\n",
+            plan.numeric,
+            if plan.active { "on" } else { "off" }
+        );
+    }
+    if let Some(label) = plan.pending_resume() {
         println!("resuming interrupted run {label} (earlier runs are recomputed)\n");
     }
     let ds = scenes::stereo_poster_like(1002);
-    let model = StereoModel::new(
-        &ds.left,
-        &ds.right,
-        ds.num_disparities,
-        bench::STEREO_DATA_WEIGHT,
-        bench::STEREO_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
+    let model = stereo_model(&ds);
     let schedule = Schedule::constant(TEMPERATURE);
 
     let mut run = |kind: SamplerKind, label: &str| {
-        if threads > 1 {
-            kind.run_parallel_checkpointed(
-                &model, schedule, ITERATIONS, 11, threads, label, &mut ckpt,
-            )
-        } else {
-            kind.run_checkpointed(&model, schedule, ITERATIONS, 11, label, &mut ckpt)
-        }
+        plan.run(
+            &model,
+            &kind,
+            schedule,
+            ITERATIONS,
+            11,
+            label,
+            &mut NoopObserver,
+        )
+        .unwrap_or_else(exit_usage)
     };
     let sw_field = run(SamplerKind::Software, "fig8/software");
     let sw_bp = bad_pixel_percentage(&sw_field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
@@ -115,22 +122,30 @@ fn main() {
         &csv,
     );
 
-    if let Some(path) = trace_path {
-        write_trace(&path, &model, schedule, ds.num_disparities as u32, threads);
+    if let Some(path) = &plan.trace {
+        write_trace(path, &model, schedule, ds.num_disparities as u32, &plan);
     }
+    plan.finish().unwrap_or_else(exit_usage);
 }
 
 /// `--trace` mode: re-runs the software reference and the starred
-/// design point as multi-seed chains with per-sweep JSONL records plus
-/// ESS/PSRF/time-to-quality summaries, and appends the cycle-accurate
-/// pipeline counters for both RSU designs at this label count.
+/// design point as multi-seed chains on the plan's engine with
+/// per-sweep JSONL records plus ESS/PSRF/time-to-quality summaries, and
+/// appends the cycle-accurate pipeline counters for both RSU designs at
+/// this label count.
 fn write_trace(
     path: &std::path::Path,
     model: &StereoModel,
     schedule: Schedule,
     labels: u32,
-    threads: usize,
+    plan: &RunPlan,
 ) {
+    let mut chains_plan = RunPlan {
+        threads: plan.threads,
+        numeric: plan.numeric,
+        active: plan.active,
+        ..RunPlan::default()
+    };
     let file = std::fs::File::create(path).expect("can create trace file");
     let mut writer = JsonlTraceWriter::new(std::io::BufWriter::new(file));
     let starred = RsuConfig::builder()
@@ -151,18 +166,9 @@ fn write_trace(
                 let mut observers = FanOut::new();
                 observers.push(&mut energy);
                 observers.push(&mut writer);
-                if threads > 1 {
-                    kind.run_parallel_observed(
-                        model,
-                        schedule,
-                        ITERATIONS,
-                        seed,
-                        threads,
-                        &mut observers,
-                    );
-                } else {
-                    kind.run_observed(model, schedule, ITERATIONS, seed, &mut observers);
-                }
+                chains_plan
+                    .run(model, &kind, schedule, ITERATIONS, seed, "", &mut observers)
+                    .expect("trace chains resume nothing");
             }
             chains.push(energy);
         }

@@ -6,47 +6,51 @@
 //! those knobs is gated against the f64 oracle (DESIGN §12), not
 //! bit-identical to the default run.
 
-use bench::checkpoint::{run_stereo_checkpointed_numeric, CheckpointCtl};
-use bench::{stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{exit_usage, stereo_suite, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use mrf::NumericPolicy;
 
 fn main() {
-    let numeric = bench::numeric_from_args();
-    let active = bench::active_from_args();
-    let mut ckpt = CheckpointCtl::disabled();
+    let mut plan = RunPlan::from_args("fig9a_stereo");
+    plan.reject("fig9a_stereo", &["--trace"]);
     println!("Fig. 9a — stereo BP, software vs new RSU-G (8/4/5 bits, truncation 0.5)\n");
-    if numeric == NumericPolicy::Fast || active {
+    if plan.threads > 1 {
         println!(
-            "numeric policy {numeric:?}, active-site scheduling {}: chains run on the \
-             checkerboard engine (DESIGN §12 quality gate applies)\n",
-            if active { "on" } else { "off" }
+            "running the parallel checkerboard engine on {} threads\n",
+            plan.threads
         );
+    }
+    if plan.numeric == NumericPolicy::Fast || plan.active {
+        println!(
+            "numeric policy {:?}, active-site scheduling {}: chains run on the \
+             checkerboard engine (DESIGN §12 quality gate applies)\n",
+            plan.numeric,
+            if plan.active { "on" } else { "off" }
+        );
+    }
+    if let Some(label) = plan.pending_resume() {
+        println!("resuming interrupted run {label} (earlier runs are recomputed)\n");
     }
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in stereo_suite() {
-        let sw = run_stereo_checkpointed_numeric(
-            &ds,
-            &SamplerKind::Software,
-            STEREO_ITERATIONS,
-            11,
-            1,
-            numeric,
-            active,
-            &format!("fig9a/{name}/software"),
-            &mut ckpt,
-        );
-        let hw = run_stereo_checkpointed_numeric(
-            &ds,
-            &SamplerKind::NewRsu,
-            STEREO_ITERATIONS,
-            11,
-            1,
-            numeric,
-            active,
-            &format!("fig9a/{name}/new-RSUG"),
-            &mut ckpt,
-        );
+        let sw = plan
+            .stereo(
+                &ds,
+                &SamplerKind::Software,
+                STEREO_ITERATIONS,
+                11,
+                &format!("fig9a/{name}/software"),
+            )
+            .unwrap_or_else(exit_usage);
+        let hw = plan
+            .stereo(
+                &ds,
+                &SamplerKind::NewRsu,
+                STEREO_ITERATIONS,
+                11,
+                &format!("fig9a/{name}/new-RSUG"),
+            )
+            .unwrap_or_else(exit_usage);
         rows.push(vec![
             name.to_owned(),
             format!("{:.1}", sw.bp),
@@ -80,4 +84,5 @@ fn main() {
         "dataset,software_bp,rsug_bp,software_rms,rsug_rms",
         &csv,
     );
+    plan.finish().unwrap_or_else(exit_usage);
 }

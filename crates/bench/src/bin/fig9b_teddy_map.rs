@@ -1,26 +1,25 @@
 //! Figure 9b: the teddy-like disparity map produced by the new RSU-G.
 
-use bench::checkpoint::{run_stereo_checkpointed, CheckpointCtl};
-use bench::{artifacts_dir, SamplerKind, STEREO_ITERATIONS};
+use bench::{artifacts_dir, exit_usage, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use vision::image::labels_to_image;
 
 fn main() {
-    let threads = bench::threads_from_args();
-    let mut ckpt = CheckpointCtl::from_args_or_exit("fig9b_teddy_map");
+    let mut plan = RunPlan::from_args("fig9b_teddy_map");
+    plan.reject("fig9b_teddy_map", &["--trace"]);
     println!("Fig. 9b — teddy disparity map, new RSU-G\n");
-    if let Some(label) = ckpt.pending_resume() {
+    if let Some(label) = plan.pending_resume() {
         println!("resuming interrupted run {label}\n");
     }
     let ds = scenes::stereo_teddy_like(1001);
-    let out = run_stereo_checkpointed(
-        &ds,
-        &SamplerKind::NewRsu,
-        STEREO_ITERATIONS,
-        11,
-        threads,
-        "fig9b/teddy/new-RSUG",
-        &mut ckpt,
-    );
+    let out = plan
+        .stereo(
+            &ds,
+            &SamplerKind::NewRsu,
+            STEREO_ITERATIONS,
+            11,
+            "fig9b/teddy/new-RSUG",
+        )
+        .unwrap_or_else(exit_usage);
     let path = artifacts_dir().join("fig9b_new_rsug_teddy.pgm");
     labels_to_image(&out.field)
         .save_pgm(&path)
@@ -28,4 +27,5 @@ fn main() {
     println!("new RSU-G BP {:.1} %  RMS {:.2}", out.bp, out.rms);
     println!("wrote {}", path.display());
     println!("paper shape: visually indistinguishable from the software map of Fig. 4c");
+    plan.finish().unwrap_or_else(exit_usage);
 }

@@ -2,9 +2,11 @@
 //! across 30 images at 2/4/6/8 labels, software vs new RSU-G — mean VoI
 //! (the figure) and its standard deviation (the table).
 
-use bench::checkpoint::{run_segmentation_checkpointed_numeric, CheckpointCtl};
 use bench::trace_jsonl::JsonlTraceWriter;
-use bench::{run_segmentation_observed, table, write_csv, SamplerKind, SEGMENT_ITERATIONS};
+use bench::{
+    exit_usage, segment_model, segmentation_schedule, table, write_csv, RunPlan, SamplerKind,
+    SEGMENT_ITERATIONS,
+};
 use mrf::{potential_scale_reduction, EnergyTrace, FanOut, NumericPolicy};
 use sampling::stats::sample_std_dev;
 
@@ -15,24 +17,24 @@ const TRACE_SEEDS: [u64; 3] = [31, 32, 33];
 const TRACE_EPSILON: f64 = 0.02;
 
 fn main() {
-    let threads = bench::threads_from_args();
-    let numeric = bench::numeric_from_args();
-    let active = bench::active_from_args();
-    let trace_path = bench::trace_path_from_args();
-    let mut ckpt = CheckpointCtl::from_args_or_exit("fig9d_segmentation");
+    let mut plan = RunPlan::from_args("fig9d_segmentation");
     println!("Fig. 9d / Tab. I — segmentation VoI over 30 images (30 iterations each)\n");
-    if threads > 1 {
-        println!("running the parallel checkerboard engine on {threads} threads\n");
-    }
-    if numeric == NumericPolicy::Fast || active {
+    if plan.threads > 1 {
         println!(
-            "numeric policy {numeric:?}, active-site scheduling {}: chains run on the \
-             checkerboard engine; quality is gated against the f64 full-sweep oracle \
-             (DESIGN §12), not bit-identical to the default run\n",
-            if active { "on" } else { "off" }
+            "running the parallel checkerboard engine on {} threads\n",
+            plan.threads
         );
     }
-    if let Some(label) = ckpt.pending_resume() {
+    if plan.numeric == NumericPolicy::Fast || plan.active {
+        println!(
+            "numeric policy {:?}, active-site scheduling {}: chains run on the \
+             checkerboard engine; quality is gated against the f64 full-sweep oracle \
+             (DESIGN §12), not bit-identical to the default run\n",
+            plan.numeric,
+            if plan.active { "on" } else { "off" }
+        );
+    }
+    if let Some(label) = plan.pending_resume() {
         println!("resuming interrupted run {label} (earlier runs are recomputed)\n");
     }
     let suite = scenes::segmentation_suite(3001, 30);
@@ -43,36 +45,16 @@ fn main() {
         let mut hw_vois = Vec::with_capacity(suite.len());
         for (i, ds) in suite.iter().enumerate() {
             let seed = 31 + i as u64;
-            sw_vois.push(
-                run_segmentation_checkpointed_numeric(
-                    ds,
-                    k,
-                    &SamplerKind::Software,
-                    SEGMENT_ITERATIONS,
-                    seed,
-                    threads,
-                    numeric,
-                    active,
-                    &format!("fig9d/k{k}/img{i:02}/software"),
-                    &mut ckpt,
-                )
-                .voi,
-            );
-            hw_vois.push(
-                run_segmentation_checkpointed_numeric(
-                    ds,
-                    k,
-                    &SamplerKind::NewRsu,
-                    SEGMENT_ITERATIONS,
-                    seed,
-                    threads,
-                    numeric,
-                    active,
-                    &format!("fig9d/k{k}/img{i:02}/new-RSUG"),
-                    &mut ckpt,
-                )
-                .voi,
-            );
+            for (kind, vois) in [
+                (SamplerKind::Software, &mut sw_vois),
+                (SamplerKind::NewRsu, &mut hw_vois),
+            ] {
+                let label = format!("fig9d/k{k}/img{i:02}/{}", kind.name());
+                let out = plan
+                    .segmentation(ds, k, &kind, SEGMENT_ITERATIONS, seed, &label)
+                    .unwrap_or_else(exit_usage);
+                vois.push(out.voi);
+            }
         }
         let sw_mean = sw_vois.iter().sum::<f64>() / sw_vois.len() as f64;
         let hw_mean = hw_vois.iter().sum::<f64>() / hw_vois.len() as f64;
@@ -112,15 +94,23 @@ fn main() {
         &csv,
     );
 
-    if let Some(path) = trace_path {
-        write_trace(&path, &suite[0], threads);
+    if let Some(path) = &plan.trace {
+        write_trace(path, &suite[0], &plan);
     }
+    plan.finish().unwrap_or_else(exit_usage);
 }
 
 /// `--trace` mode: traces the first image of the suite at 4 labels,
-/// software vs new RSU-G, as multi-seed chains with per-sweep JSONL
-/// records plus ESS/PSRF/time-to-quality summaries.
-fn write_trace(path: &std::path::Path, ds: &scenes::SegmentationDataset, threads: usize) {
+/// software vs new RSU-G, as multi-seed chains on the plan's engine with
+/// per-sweep JSONL records plus ESS/PSRF/time-to-quality summaries.
+fn write_trace(path: &std::path::Path, ds: &scenes::SegmentationDataset, plan: &RunPlan) {
+    let model = segment_model(ds, 4);
+    let mut chains_plan = RunPlan {
+        threads: plan.threads,
+        numeric: plan.numeric,
+        active: plan.active,
+        ..RunPlan::default()
+    };
     let file = std::fs::File::create(path).expect("can create trace file");
     let mut writer = JsonlTraceWriter::new(std::io::BufWriter::new(file));
     for (config, kind) in [
@@ -135,15 +125,17 @@ fn write_trace(path: &std::path::Path, ds: &scenes::SegmentationDataset, threads
                 let mut observers = FanOut::new();
                 observers.push(&mut energy);
                 observers.push(&mut writer);
-                run_segmentation_observed(
-                    ds,
-                    4,
-                    &kind,
-                    SEGMENT_ITERATIONS,
-                    seed,
-                    threads,
-                    &mut observers,
-                );
+                chains_plan
+                    .run(
+                        &model,
+                        &kind,
+                        segmentation_schedule(),
+                        SEGMENT_ITERATIONS,
+                        seed,
+                        "",
+                        &mut observers,
+                    )
+                    .expect("trace chains resume nothing");
             }
             chains.push(energy);
         }

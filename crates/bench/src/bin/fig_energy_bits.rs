@@ -1,22 +1,32 @@
 //! §III-C1 (reported in text, no figure number): stereo BP vs
 //! `Energy_bits` — 8 bits suffice, fewer degrade quality.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{exit_usage, stereo_suite, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use rsu::RsuConfig;
 
 const ENERGY_BITS: [u32; 6] = [4, 5, 6, 7, 8, 10];
 
 fn main() {
+    let mut plan = RunPlan::from_args("fig_energy_bits");
+    plan.reject("fig_energy_bits", &["--trace"]);
     println!("§III-C1 — stereo BP vs Energy_bits (λ/time at new-design settings)\n");
     let suite = stereo_suite();
     let mut rows = Vec::new();
     let mut csv = Vec::new();
+    // Average BP over the suite; `sampler` names the runs' labels.
+    let mut average = |kind: &SamplerKind, sampler: &str| {
+        let mut total = 0.0;
+        for (name, ds) in &suite {
+            let label = format!("fig_energy_bits/{sampler}/{name}");
+            total += plan
+                .stereo(ds, kind, STEREO_ITERATIONS, 11, &label)
+                .unwrap_or_else(exit_usage)
+                .bp;
+        }
+        total / suite.len() as f64
+    };
     // Software reference line.
-    let mut sw_avg = 0.0;
-    for (_, ds) in &suite {
-        sw_avg += run_stereo(ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1).bp;
-    }
-    sw_avg /= suite.len() as f64;
+    let sw_avg = average(&SamplerKind::Software, "software");
     for &bits in &ENERGY_BITS {
         // Keep the energy *range* fixed: fewer bits mean a coarser LSB
         // over the same 0..255 energy span, as a narrower datapath would.
@@ -28,11 +38,7 @@ fn main() {
                 .build()
                 .expect("valid sweep point"),
         );
-        let mut avg = 0.0;
-        for (_, ds) in &suite {
-            avg += run_stereo(ds, &kind, STEREO_ITERATIONS, 11, 1).bp;
-        }
-        avg /= suite.len() as f64;
+        let avg = average(&kind, &format!("eb{bits}"));
         rows.push(vec![
             format!("{bits}"),
             format!("{avg:.1}"),
@@ -51,4 +57,5 @@ fn main() {
     );
     println!("paper shape: ≥ 8 bits matches software; below 8 bits quality degrades");
     write_csv("fig_energy_bits", "energy_bits,avg_bp", &csv);
+    plan.finish().unwrap_or_else(exit_usage);
 }

@@ -10,10 +10,10 @@
 //! runtime/energy versus fault density, for both [`DegradePolicy`]
 //! variants.
 //!
-//! Flags: `--threads N`, `--trace <path>` (JSONL `design_point` records,
-//! re-parsed by the driver itself as a self-check), `--checkpoint-every
-//! N` / `--resume <path>` (label-matched, bit-identical resume), and
-//! `--smoke` (tiny grid for CI).
+//! Flags: the shared chain-driver flags (`bench::plan`; `--numeric fast`
+//! and `--active` are refused: the array has neither path), with
+//! `--trace <path>` writing JSONL `design_point` records re-parsed by the
+//! driver itself as a self-check, plus `--smoke` (tiny grid for CI).
 //!
 //! The array's measured load accounting is cross-checked against
 //! [`FaultPlan::predicted_degradation`] whenever the whole chain ran in
@@ -21,13 +21,16 @@
 //! always uses the analytic (full-run) report — bit-identical by the
 //! measured-equals-predicted contract pinned in `rsu`'s tests.
 
-use bench::checkpoint::{run_array_segmentation_checkpointed, CheckpointCtl};
 use bench::minijson::Value;
 use bench::trace_jsonl::{parse_jsonl, JsonlTraceWriter};
-use bench::{table, write_csv, SEGMENT_DATA_WEIGHT, SEGMENT_ITERATIONS, SEGMENT_SMOOTH_WEIGHT};
+use bench::{
+    exit_usage, segment_model, segmentation_schedule, table, write_csv, Args, RunPlan,
+    SEGMENT_ITERATIONS,
+};
 use mrf::{total_energy, MrfModel};
 use rsu::{DegradePolicy, FaultPlan, RsuArray, RsuConfig};
 use uarch::degrade::DegradeModel;
+use vision::metrics::variation_of_information;
 use vision::SegmentModel;
 
 /// Segmentation label count of the study (the fig9d trace setting).
@@ -66,10 +69,11 @@ fn policy_name(policy: Option<DegradePolicy>) -> &'static str {
 }
 
 fn main() {
-    let threads = bench::threads_from_args();
-    let trace_path = bench::trace_path_from_args();
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let mut ckpt = CheckpointCtl::from_args_or_exit("fig_fault_sweep");
+    let args = Args::from_env("fig_fault_sweep", &["--smoke"]);
+    let smoke = args.switch("--smoke");
+    let mut plan = args.into_plan("fig_fault_sweep");
+    plan.reject("fig_fault_sweep", &["--numeric", "--active"]);
+    let threads = plan.threads;
     let (unit_counts, fault_counts, iterations) = if smoke {
         (SMOKE_UNIT_COUNTS, SMOKE_FAULT_COUNTS, SMOKE_ITERATIONS)
     } else {
@@ -83,17 +87,11 @@ fn main() {
     if threads > 1 {
         println!("running the parallel array engine on {threads} host threads\n");
     }
-    if let Some(label) = ckpt.pending_resume() {
+    if let Some(label) = plan.pending_resume() {
         println!("resuming interrupted run {label} (earlier runs are recomputed)\n");
     }
     let ds = &scenes::segmentation_suite(3001, 1)[0];
-    let model = SegmentModel::new(
-        &ds.image,
-        LABELS,
-        SEGMENT_DATA_WEIGHT,
-        SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
+    let model = segment_model(ds, LABELS);
     let (width, height) = (model.grid().width(), model.grid().height());
 
     let mut rows: Vec<GridRow> = Vec::new();
@@ -104,8 +102,7 @@ fn main() {
         for &count in fault_counts {
             if count == 0 {
                 // Healthy baseline: one row per unit count, ratios 1.
-                let (voi, final_energy) =
-                    run_point(ds, &model, units, None, iterations, threads, &mut ckpt);
+                let (voi, final_energy) = run_point(ds, &model, units, None, iterations, &mut plan);
                 rows.push(GridRow {
                     units,
                     faults: 0,
@@ -125,18 +122,11 @@ fn main() {
             ] {
                 let fault_seed = FAULT_SEED_BASE + seed_index;
                 seed_index += 1;
-                let plan =
+                let faults =
                     FaultPlan::random(fault_seed, units as usize, iterations as u64, count, policy);
-                let (voi, final_energy) = run_point(
-                    ds,
-                    &model,
-                    units,
-                    Some(&plan),
-                    iterations,
-                    threads,
-                    &mut ckpt,
-                );
-                let cost = degrade.run_cost(&plan, iterations as u64);
+                let (voi, final_energy) =
+                    run_point(ds, &model, units, Some(&faults), iterations, &mut plan);
+                let cost = degrade.run_cost(&faults, iterations as u64);
                 rows.push(GridRow {
                     units,
                     faults: count,
@@ -185,40 +175,47 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    if let Some(path) = trace_path {
-        write_and_reparse_trace(&path, &rows, iterations, threads);
+    if let Some(path) = &plan.trace {
+        write_and_reparse_trace(path, &rows, iterations, threads);
     }
+    plan.finish().unwrap_or_else(exit_usage);
 }
 
-/// Runs one grid point's chain on a fresh array (faults installed when
-/// a plan is given) and cross-checks the measured load accounting
+/// Runs one grid point's chain on a fresh array (with `faults`
+/// installed when given) and cross-checks the measured load accounting
 /// against the analytic replay when the whole chain ran here.
 fn run_point(
     ds: &scenes::SegmentationDataset,
     model: &SegmentModel,
     units: u32,
-    plan: Option<&FaultPlan>,
+    faults: Option<&FaultPlan>,
     iterations: usize,
-    threads: usize,
-    ckpt: &mut CheckpointCtl,
+    plan: &mut RunPlan,
 ) -> (f64, f64) {
     let label = format!(
         "fig_fault_sweep/u{units}/f{}/{}",
-        plan.map_or(0, |p| p.faults().len()),
-        policy_name(plan.map(|p| p.policy()))
+        faults.map_or(0, |p| p.faults().len()),
+        policy_name(faults.map(|p| p.policy()))
     );
     let mut array = RsuArray::new(RsuConfig::new_design(), units);
-    if let Some(plan) = plan {
-        array.install_faults(plan.clone());
+    if let Some(faults) = faults {
+        array.install_faults(faults.clone());
     }
-    let out = run_array_segmentation_checkpointed(
-        ds, LABELS, &mut array, iterations, CHAIN_SEED, threads, &label, ckpt,
-    );
-    if let (Some(plan), Some(measured)) = (plan, array.degradation_report()) {
+    let field = plan
+        .run_array(
+            model,
+            &mut array,
+            segmentation_schedule(),
+            iterations,
+            CHAIN_SEED,
+            &label,
+        )
+        .unwrap_or_else(exit_usage);
+    if let (Some(faults), Some(measured)) = (faults, array.degradation_report()) {
         // A resumed run only measured the tail; the uninterrupted case
         // must match the analytic replay exactly.
         if measured.sweeps == iterations as u64 {
-            let predicted = plan.predicted_degradation(
+            let predicted = faults.predicted_degradation(
                 units as usize,
                 model.grid().width(),
                 model.grid().height(),
@@ -230,8 +227,8 @@ fn run_point(
             }
         }
     }
-    let energy = total_energy(model, &out.field);
-    (out.voi, energy)
+    let energy = total_energy(model, &field);
+    (variation_of_information(&field, &ds.ground_truth), energy)
 }
 
 fn print_table(rows: &[GridRow]) {

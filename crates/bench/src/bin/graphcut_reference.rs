@@ -6,12 +6,14 @@
 //! same synthetic stereo suite and compares against the MCMC software
 //! baseline and the new RSU-G.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{exit_usage, stereo_suite, table, write_csv, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use mrf::{alpha_expansion, total_energy, LabelField, MrfModel};
 use vision::metrics::bad_pixel_percentage;
 use vision::StereoModel;
 
 fn main() {
+    let mut plan = RunPlan::from_args("graphcut_reference");
+    plan.reject("graphcut_reference", &["--trace"]);
     println!("§III-B — Graph Cuts (alpha-expansion) vs MCMC stereo quality\n");
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -27,8 +29,13 @@ fn main() {
         let mut gc_field = LabelField::constant(model.grid(), model.num_labels(), 0);
         let report = alpha_expansion(&model, &mut gc_field).expect("absolute distance is a metric");
         let gc_bp = bad_pixel_percentage(&gc_field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
-        let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-        let hw = run_stereo(&ds, &SamplerKind::NewRsu, STEREO_ITERATIONS, 11, 1);
+        let mut run = |kind: SamplerKind| {
+            let label = format!("graphcut_reference/{name}/{}", kind.name());
+            plan.stereo(&ds, &kind, STEREO_ITERATIONS, 11, &label)
+                .unwrap_or_else(exit_usage)
+        };
+        let sw = run(SamplerKind::Software);
+        let hw = run(SamplerKind::NewRsu);
         let sw_energy = {
             let f = &sw.field;
             total_energy(&model, f)
@@ -66,4 +73,5 @@ fn main() {
         "dataset,graphcuts_bp,mcmc_bp,rsug_bp",
         &csv,
     );
+    plan.finish().unwrap_or_else(exit_usage);
 }

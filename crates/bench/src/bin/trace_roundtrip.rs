@@ -27,13 +27,17 @@ fn main() -> ExitCode {
                 let mut observers = FanOut::new();
                 observers.push(&mut energy);
                 observers.push(&mut writer);
-                bench::SamplerKind::Software.run_observed(
-                    &model,
-                    schedule,
-                    ITERATIONS,
-                    seed,
-                    &mut observers,
-                );
+                bench::RunPlan::default()
+                    .run(
+                        &model,
+                        &bench::SamplerKind::Software,
+                        schedule,
+                        ITERATIONS,
+                        seed,
+                        "",
+                        &mut observers,
+                    )
+                    .expect("no resume checkpoint");
             }
             chains.push(energy);
         }

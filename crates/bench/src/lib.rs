@@ -8,25 +8,24 @@
 //! The central pieces:
 //!
 //! * [`SamplerKind`] — the samplers under comparison (software float,
-//!   previous RSU-G, new RSU-G, or any custom [`RsuConfig`]), with a
-//!   uniform [`run_stereo`]/[`run_motion`]/[`run_segmentation`] driver
-//!   per application;
+//!   previous RSU-G, new RSU-G, or any custom [`RsuConfig`]);
+//! * [`RunPlan`] — the drivers' shared command line and their one chain
+//!   entry point ([`RunPlan::run`], with checkpoint/resume), plus a
+//!   uniform stereo/motion/segmentation runner per application;
 //! * [`StereoOutcome`] etc. — per-run quality summaries (BP, RMS, EPE,
 //!   VoI, ...);
 //! * [`table`] — plain-text table formatting;
 //! * [`artifacts_dir`]/[`write_csv`] — artifact output.
 
 use mrf::{
-    total_energy, LabelField, MrfModel, NoopObserver, NumericPolicy, ParallelSweepSolver, Schedule,
-    SiteSampler, SoftwareGibbs, SweepObserver, SweepRecord,
+    CheckpointError, Label, LabelField, MrfModel, NoopObserver, Schedule, SiteSampler,
+    SoftwareGibbs,
 };
-use rand::SeedableRng;
+use rand::Rng;
 use rsu::{RsuConfig, RsuG};
-use sampling::Xoshiro256pp;
 use scenes::{FlowDataset, SegmentationDataset, StereoDataset};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 use vision::metrics::{bad_pixel_percentage, endpoint_error, rms_error, variation_of_information};
 use vision::{MotionModel, SegmentModel, StereoModel};
 
@@ -86,181 +85,131 @@ impl SamplerKind {
         }
     }
 
+    /// The site kernel this kind names.
+    pub fn sampler(&self) -> Sampler {
+        match self {
+            SamplerKind::Software => Sampler::SoftwareGibbs(SoftwareGibbs::new()),
+            SamplerKind::PreviousRsu => Sampler::RsuG(RsuG::previous_design()),
+            SamplerKind::NewRsu => Sampler::RsuG(RsuG::new_design()),
+            SamplerKind::Custom(cfg) => Sampler::RsuG(RsuG::with_config(*cfg)),
+        }
+    }
+
     /// Runs the configured sampler over an arbitrary model with the
-    /// given schedule/budget/seed and returns the final field.
-    pub fn run<M: MrfModel>(
+    /// given schedule/budget/seed on the raster engine (the historical
+    /// chain, [`RunPlan::default`]) and returns the final field.
+    pub fn run<M: MrfModel + Sync>(
         &self,
         model: &M,
         schedule: Schedule,
         iterations: usize,
         seed: u64,
     ) -> LabelField {
-        self.dispatch(model, |model, s| {
-            run_model(model, s, schedule, iterations, seed)
-        })
-    }
-
-    /// Like [`run`](Self::run) with a [`SweepObserver`] attached; the
-    /// chain (and its RNG consumption) is bit-identical to `run`.
-    pub fn run_observed<M: MrfModel, O: SweepObserver>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        observer: &mut O,
-    ) -> LabelField {
-        self.dispatch(model, |model, s| {
-            run_model_observed(model, s, schedule, iterations, seed, observer)
-        })
-    }
-
-    /// Like [`run_parallel`](Self::run_parallel) with a
-    /// [`SweepObserver`] attached; the chain is bit-identical to
-    /// `run_parallel` at every thread count.
-    pub fn run_parallel_observed<M: MrfModel + Sync, O: SweepObserver>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-        observer: &mut O,
-    ) -> LabelField {
-        match self {
-            SamplerKind::Software => run_model_parallel_observed(
+        RunPlan::default()
+            .run(
                 model,
-                &SoftwareGibbs::new(),
+                self,
                 schedule,
                 iterations,
                 seed,
-                threads,
-                observer,
-            ),
-            SamplerKind::PreviousRsu => run_model_parallel_observed(
-                model,
-                &RsuG::previous_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-            SamplerKind::NewRsu => run_model_parallel_observed(
-                model,
-                &RsuG::new_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-            SamplerKind::Custom(cfg) => run_model_parallel_observed(
-                model,
-                &RsuG::with_config(*cfg),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-        }
-    }
-
-    /// Runs the configured sampler with the parallel checkerboard
-    /// engine on `threads` worker threads. Unlike [`run`](Self::run)
-    /// (raster scan, one shared random stream) this uses per-site
-    /// counter-based streams, so results differ from `run` but are
-    /// identical across thread counts.
-    pub fn run_parallel<M: MrfModel + Sync>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-    ) -> LabelField {
-        match self {
-            SamplerKind::Software => run_model_parallel(
-                model,
-                &SoftwareGibbs::new(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-            SamplerKind::PreviousRsu => run_model_parallel(
-                model,
-                &RsuG::previous_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-            SamplerKind::NewRsu => run_model_parallel(
-                model,
-                &RsuG::new_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-            SamplerKind::Custom(cfg) => run_model_parallel(
-                model,
-                &RsuG::with_config(*cfg),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-        }
-    }
-
-    fn dispatch<M, F, T>(&self, model: &M, f: F) -> T
-    where
-        M: MrfModel,
-        F: FnOnce(&M, &mut dyn ErasedSampler) -> T,
-    {
-        match self {
-            SamplerKind::Software => f(model, &mut Erased(SoftwareGibbs::new())),
-            SamplerKind::PreviousRsu => f(model, &mut Erased(RsuG::previous_design())),
-            SamplerKind::NewRsu => f(model, &mut Erased(RsuG::new_design())),
-            SamplerKind::Custom(cfg) => f(model, &mut Erased(RsuG::with_config(*cfg))),
-        }
+                "",
+                &mut NoopObserver,
+            )
+            .expect(NO_RESUME)
     }
 }
 
-/// Object-safe shim over [`SiteSampler`] (whose sampling method is
-/// generic in the RNG) fixed to the harness RNG type.
-pub trait ErasedSampler {
-    /// See [`SiteSampler::begin_iteration`].
-    fn begin_iteration(&mut self, temperature: f64);
-    /// See [`SiteSampler::sample_label`].
-    fn sample_label(
-        &mut self,
-        energies: &[f64],
-        temperature: f64,
-        current: mrf::Label,
-        rng: &mut Xoshiro256pp,
-    ) -> mrf::Label;
+/// Why a plan without a `--resume` checkpoint cannot refuse a run.
+const NO_RESUME: &str = "a plan without a resume checkpoint never refuses a run";
+
+/// The site kernel a [`SamplerKind`] names, as one [`SiteSampler`] the
+/// engines monomorphise once.
+// Built once per chain and held by value: boxing the larger variant
+// would add a pointer chase to every site draw.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum Sampler {
+    /// IEEE floating-point Gibbs.
+    SoftwareGibbs(SoftwareGibbs),
+    /// An RSU-G functional simulator.
+    RsuG(RsuG),
 }
 
-struct Erased<S: SiteSampler>(S);
-
-impl<S: SiteSampler> ErasedSampler for Erased<S> {
+impl SiteSampler for Sampler {
     fn begin_iteration(&mut self, temperature: f64) {
-        self.0.begin_iteration(temperature);
+        match self {
+            Sampler::SoftwareGibbs(s) => s.begin_iteration(temperature),
+            Sampler::RsuG(s) => s.begin_iteration(temperature),
+        }
     }
 
-    fn sample_label(
+    fn sample_label<R: Rng + ?Sized>(
         &mut self,
         energies: &[f64],
         temperature: f64,
-        current: mrf::Label,
-        rng: &mut Xoshiro256pp,
-    ) -> mrf::Label {
-        self.0.sample_label(energies, temperature, current, rng)
+        current: Label,
+        rng: &mut R,
+    ) -> Label {
+        match self {
+            Sampler::SoftwareGibbs(s) => s.sample_label(energies, temperature, current, rng),
+            Sampler::RsuG(s) => s.sample_label(energies, temperature, current, rng),
+        }
     }
+
+    // Forwarded explicitly: `SoftwareGibbs` overrides the f32 draw, and
+    // the trait default would silently widen every `--numeric fast`
+    // chain to the f64 kernel instead.
+    fn sample_label_f32<R: Rng + ?Sized>(
+        &mut self,
+        energies: &[f32],
+        e_min: f32,
+        temperature: f64,
+        current: Label,
+        rng: &mut R,
+    ) -> Label {
+        match self {
+            Sampler::SoftwareGibbs(s) => {
+                s.sample_label_f32(energies, e_min, temperature, current, rng)
+            }
+            Sampler::RsuG(s) => s.sample_label_f32(energies, e_min, temperature, current, rng),
+        }
+    }
+}
+
+/// The stereo model of the evaluation for a dataset.
+pub fn stereo_model(ds: &StereoDataset) -> StereoModel {
+    StereoModel::new(
+        &ds.left,
+        &ds.right,
+        ds.num_disparities,
+        STEREO_DATA_WEIGHT,
+        STEREO_SMOOTH_WEIGHT,
+    )
+    .expect("generated datasets are consistent")
+}
+
+/// The motion model of the evaluation for a dataset.
+pub fn motion_model(ds: &FlowDataset) -> MotionModel {
+    MotionModel::new(
+        &ds.frame1,
+        &ds.frame2,
+        ds.window,
+        MOTION_DATA_WEIGHT,
+        MOTION_SMOOTH_WEIGHT,
+    )
+    .expect("generated datasets are consistent")
+}
+
+/// The segmentation model of the evaluation for a dataset at
+/// `num_segments` labels.
+pub fn segment_model(ds: &SegmentationDataset, num_segments: usize) -> SegmentModel {
+    SegmentModel::new(
+        &ds.image,
+        num_segments,
+        SEGMENT_DATA_WEIGHT,
+        SEGMENT_SMOOTH_WEIGHT,
+    )
+    .expect("generated datasets are consistent")
 }
 
 /// Outcome of one stereo run.
@@ -274,263 +223,105 @@ pub struct StereoOutcome {
     pub field: LabelField,
 }
 
-/// Drives a model with an erased sampler: the same raster-scan MCMC loop
-/// as [`mrf::SweepSolver`], monomorphised once for the harness RNG.
-pub fn run_model<M: MrfModel>(
-    model: &M,
-    sampler: &mut dyn ErasedSampler,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-) -> LabelField {
-    run_model_observed(
-        model,
-        sampler,
-        schedule,
-        iterations,
-        seed,
-        &mut NoopObserver,
-    )
+/// Outcome of one motion-estimation run.
+#[derive(Debug, Clone)]
+pub struct MotionOutcome {
+    /// Average endpoint error.
+    pub epe: f64,
+    /// The recovered flow field.
+    pub flow: Vec<(isize, isize)>,
 }
 
-/// [`run_model`] with a [`SweepObserver`] attached. With the observer
-/// disabled ([`NoopObserver`]) this is exactly `run_model`: same field,
-/// same RNG consumption, no timing calls.
-pub fn run_model_observed<M: MrfModel, O: SweepObserver>(
-    model: &M,
-    sampler: &mut dyn ErasedSampler,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    observer: &mut O,
-) -> LabelField {
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    let grid = model.grid();
-    let mut energies = Vec::with_capacity(model.num_labels());
-    let observing = observer.is_enabled();
-    let want_sites = observing && observer.wants_site_updates();
-    let mut energy = observing.then(|| total_energy(model, &field));
-    for iter in 0..iterations {
-        let temperature = schedule.temperature(iter);
-        sampler.begin_iteration(temperature);
-        let sweep_start = observing.then(Instant::now);
-        let mut flips = 0u64;
-        for site in grid.sites() {
-            model.local_energies(site, &field, &mut energies);
-            let current = field.get(site);
-            let new = sampler.sample_label(&energies, temperature, current, &mut rng);
-            if new != current {
-                field.set(site, new);
-                if let Some(e) = energy.as_mut() {
-                    *e += energies[new as usize] - energies[current as usize];
-                }
-                flips += 1;
-                if want_sites {
-                    observer.on_site_update(iter, site, current, new);
-                }
-            }
-        }
-        if observing {
-            observer.on_sweep(&SweepRecord {
-                iteration: iter,
-                temperature,
-                energy: energy.unwrap_or(f64::NAN),
-                flips,
-                elapsed: sweep_start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
-            });
-        }
+/// Outcome of one segmentation run.
+#[derive(Debug, Clone)]
+pub struct SegmentationOutcome {
+    /// Variation of Information against the generating partition.
+    pub voi: f64,
+    /// The recovered segmentation.
+    pub field: LabelField,
+}
+
+impl RunPlan {
+    /// Runs one stereo dataset (run `label`) with the given sampler
+    /// under the annealing schedule and returns BP/RMS.
+    pub fn stereo(
+        &mut self,
+        ds: &StereoDataset,
+        sampler: &SamplerKind,
+        iterations: usize,
+        seed: u64,
+        label: &str,
+    ) -> Result<StereoOutcome, CheckpointError> {
+        let model = stereo_model(ds);
+        let schedule = annealing_schedule();
+        let field = self.run(
+            &model,
+            sampler,
+            schedule,
+            iterations,
+            seed,
+            label,
+            &mut NoopObserver,
+        )?;
+        let bp = bad_pixel_percentage(&field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
+        let rms = rms_error(&field, &ds.ground_truth, Some(&ds.occlusion));
+        Ok(StereoOutcome { bp, rms, field })
     }
-    field
-}
 
-/// Drives a model with the parallel checkerboard engine: the initial
-/// field matches [`run_model`]'s (same seed derivation), then
-/// [`ParallelSweepSolver`] runs `iterations` sweeps on `threads`
-/// threads with per-site deterministic randomness.
-pub fn run_model_parallel<M, S>(
-    model: &M,
-    sampler: &S,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-) -> LabelField
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Clone + Send,
-{
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    ParallelSweepSolver::new(model)
-        .schedule(schedule)
-        .iterations(iterations)
-        .threads(threads)
-        .seed(seed)
-        .run(&mut field, sampler);
-    field
-}
-
-/// [`run_model_parallel`] with a [`SweepObserver`] attached; the field
-/// is bit-identical to `run_model_parallel` at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_model_parallel_observed<M, S, O>(
-    model: &M,
-    sampler: &S,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    observer: &mut O,
-) -> LabelField
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Clone + Send,
-    O: SweepObserver,
-{
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    ParallelSweepSolver::new(model)
-        .schedule(schedule)
-        .iterations(iterations)
-        .threads(threads)
-        .seed(seed)
-        .run_observed(&mut field, sampler, observer);
-    field
-}
-
-/// Parses `--threads N` (or `--threads=N`) from the process arguments
-/// (default 1). On a malformed value it prints a usage message to
-/// stderr and exits with code 2 instead of panicking.
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_threads(&args) {
-        Ok(n) => n,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("usage: --threads <N>   worker threads, a positive integer (default 1)");
-            std::process::exit(2);
-        }
+    /// Runs one flow dataset (run `label`) with the given sampler under
+    /// the annealing schedule and returns the EPE.
+    pub fn motion(
+        &mut self,
+        ds: &FlowDataset,
+        sampler: &SamplerKind,
+        iterations: usize,
+        seed: u64,
+        label: &str,
+    ) -> Result<MotionOutcome, CheckpointError> {
+        let model = motion_model(ds);
+        let schedule = annealing_schedule();
+        let field = self.run(
+            &model,
+            sampler,
+            schedule,
+            iterations,
+            seed,
+            label,
+            &mut NoopObserver,
+        )?;
+        let flow: Vec<(isize, isize)> = (0..field.grid().len())
+            .map(|site| model.label_to_flow(field.get(site)))
+            .collect();
+        let epe = endpoint_error(&flow, &ds.ground_truth);
+        Ok(MotionOutcome { epe, flow })
     }
-}
 
-/// The testable core of [`threads_from_args`]: scans `args` for
-/// `--threads N` or `--threads=N` and returns the thread count
-/// (`Ok(1)` when the flag is absent) or a description of what is wrong
-/// with it.
-pub fn parse_threads(args: &[String]) -> Result<usize, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--threads" {
-            match args.get(i + 1) {
-                // `--threads --trace out.jsonl`: the next token is
-                // another flag, not a value.
-                None => return Err("--threads requires a value".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!("--threads requires a value, found flag '{next}'"))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--threads=") {
-            rest
-        } else {
-            continue;
-        };
-        return value
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--threads requires a positive integer, got '{value}'"));
+    /// Runs one segmentation dataset at `num_segments` (run `label`)
+    /// with the given sampler under the segmentation schedule and
+    /// returns the VoI against the generating partition.
+    pub fn segmentation(
+        &mut self,
+        ds: &SegmentationDataset,
+        num_segments: usize,
+        sampler: &SamplerKind,
+        iterations: usize,
+        seed: u64,
+        label: &str,
+    ) -> Result<SegmentationOutcome, CheckpointError> {
+        let model = segment_model(ds, num_segments);
+        let schedule = segmentation_schedule();
+        let field = self.run(
+            &model,
+            sampler,
+            schedule,
+            iterations,
+            seed,
+            label,
+            &mut NoopObserver,
+        )?;
+        let voi = variation_of_information(&field, &ds.ground_truth);
+        Ok(SegmentationOutcome { voi, field })
     }
-    Ok(1)
-}
-
-/// Parses `--trace <path>` (or `--trace=<path>`) from the process
-/// arguments: the JSONL trace destination, `None` when absent. Exits
-/// with code 2 on a missing value, like [`threads_from_args`].
-pub fn trace_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_trace_path(&args) {
-        Ok(path) => path,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("usage: --trace <path>   write per-sweep JSONL trace records to <path>");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The testable core of [`trace_path_from_args`].
-pub fn parse_trace_path(args: &[String]) -> Result<Option<PathBuf>, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--trace" {
-            match args.get(i + 1) {
-                None => return Err("--trace requires a path".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!("--trace requires a path, found flag '{next}'"))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--trace=") {
-            rest
-        } else {
-            continue;
-        };
-        if value.is_empty() {
-            return Err("--trace requires a non-empty path".to_string());
-        }
-        return Ok(Some(PathBuf::from(value)));
-    }
-    Ok(None)
-}
-
-/// Parses `--numeric exact|fast` (or `--numeric=fast`) from the process
-/// arguments: the solver's [`NumericPolicy`], defaulting to the
-/// bit-exact f64 path. Exits with code 2 on a malformed value, like
-/// [`threads_from_args`].
-pub fn numeric_from_args() -> NumericPolicy {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_numeric(&args) {
-        Ok(numeric) => numeric,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("usage: --numeric exact|fast   numeric policy (default exact)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The testable core of [`numeric_from_args`].
-pub fn parse_numeric(args: &[String]) -> Result<NumericPolicy, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--numeric" {
-            match args.get(i + 1) {
-                None => return Err("--numeric requires a value".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!("--numeric requires a value, found flag '{next}'"))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--numeric=") {
-            rest
-        } else {
-            continue;
-        };
-        return match value {
-            "exact" => Ok(NumericPolicy::Exact),
-            "fast" => Ok(NumericPolicy::Fast),
-            other => Err(format!(
-                "--numeric must be 'exact' or 'fast', got '{other}'"
-            )),
-        };
-    }
-    Ok(NumericPolicy::Exact)
-}
-
-/// Whether `--active` appears in the process arguments: enables
-/// active-site sweep scheduling in the drivers that support it. A bare
-/// presence flag — it takes no value.
-pub fn active_from_args() -> bool {
-    std::env::args().skip(1).any(|arg| arg == "--active")
 }
 
 /// Runs one stereo dataset with the given sampler and returns BP/RMS.
@@ -545,33 +336,12 @@ pub fn run_stereo(
     seed: u64,
     threads: usize,
 ) -> StereoOutcome {
-    let model = StereoModel::new(
-        &ds.left,
-        &ds.right,
-        ds.num_disparities,
-        STEREO_DATA_WEIGHT,
-        STEREO_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel(&model, annealing_schedule(), iterations, seed, threads)
-    } else {
-        sampler.dispatch(&model, |model, s| {
-            run_model(model, s, annealing_schedule(), iterations, seed)
-        })
-    };
-    let bp = bad_pixel_percentage(&field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
-    let rms = rms_error(&field, &ds.ground_truth, Some(&ds.occlusion));
-    StereoOutcome { bp, rms, field }
-}
-
-/// Outcome of one motion-estimation run.
-#[derive(Debug, Clone)]
-pub struct MotionOutcome {
-    /// Average endpoint error.
-    pub epe: f64,
-    /// The recovered flow field.
-    pub flow: Vec<(isize, isize)>,
+    RunPlan {
+        threads,
+        ..RunPlan::default()
+    }
+    .stereo(ds, sampler, iterations, seed, "")
+    .expect(NO_RESUME)
 }
 
 /// Runs one flow dataset with the given sampler and returns the EPE.
@@ -583,35 +353,12 @@ pub fn run_motion(
     seed: u64,
     threads: usize,
 ) -> MotionOutcome {
-    let model = MotionModel::new(
-        &ds.frame1,
-        &ds.frame2,
-        ds.window,
-        MOTION_DATA_WEIGHT,
-        MOTION_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel(&model, annealing_schedule(), iterations, seed, threads)
-    } else {
-        sampler.dispatch(&model, |model, s| {
-            run_model(model, s, annealing_schedule(), iterations, seed)
-        })
-    };
-    let flow: Vec<(isize, isize)> = (0..field.grid().len())
-        .map(|site| model.label_to_flow(field.get(site)))
-        .collect();
-    let epe = endpoint_error(&flow, &ds.ground_truth);
-    MotionOutcome { epe, flow }
-}
-
-/// Outcome of one segmentation run.
-#[derive(Debug, Clone)]
-pub struct SegmentationOutcome {
-    /// Variation of Information against the generating partition.
-    pub voi: f64,
-    /// The recovered segmentation.
-    pub field: LabelField,
+    RunPlan {
+        threads,
+        ..RunPlan::default()
+    }
+    .motion(ds, sampler, iterations, seed, "")
+    .expect(NO_RESUME)
 }
 
 /// Runs one segmentation dataset at `num_segments` with the given
@@ -625,57 +372,12 @@ pub fn run_segmentation(
     seed: u64,
     threads: usize,
 ) -> SegmentationOutcome {
-    let model = SegmentModel::new(
-        &ds.image,
-        num_segments,
-        SEGMENT_DATA_WEIGHT,
-        SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel(&model, segmentation_schedule(), iterations, seed, threads)
-    } else {
-        sampler.dispatch(&model, |model, s| {
-            run_model(model, s, segmentation_schedule(), iterations, seed)
-        })
-    };
-    let voi = variation_of_information(&field, &ds.ground_truth);
-    SegmentationOutcome { voi, field }
-}
-
-/// [`run_segmentation`] with a [`SweepObserver`] attached; the run is
-/// bit-identical to `run_segmentation` with the same arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn run_segmentation_observed<O: SweepObserver>(
-    ds: &SegmentationDataset,
-    num_segments: usize,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SegmentationOutcome {
-    let model = SegmentModel::new(
-        &ds.image,
-        num_segments,
-        SEGMENT_DATA_WEIGHT,
-        SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel_observed(
-            &model,
-            segmentation_schedule(),
-            iterations,
-            seed,
-            threads,
-            observer,
-        )
-    } else {
-        sampler.run_observed(&model, segmentation_schedule(), iterations, seed, observer)
-    };
-    let voi = variation_of_information(&field, &ds.ground_truth);
-    SegmentationOutcome { voi, field }
+    RunPlan {
+        threads,
+        ..RunPlan::default()
+    }
+    .segmentation(ds, num_segments, sampler, iterations, seed, "")
+    .expect(NO_RESUME)
 }
 
 /// The three named stereo datasets of the evaluation, with their seeds.
@@ -770,9 +472,11 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     println!("wrote {}", path.display());
 }
 
-pub mod checkpoint;
 pub mod minijson;
+pub mod plan;
 pub mod trace_jsonl;
+
+pub use plan::{exit_usage, Args, RunPlan};
 
 /// Plain-text table formatting helpers.
 pub mod table {
@@ -818,6 +522,8 @@ pub mod table {
 mod tests {
     use super::*;
     use mrf::SweepSolver;
+    use rand::SeedableRng;
+    use sampling::Xoshiro256pp;
 
     #[test]
     fn table_render_aligns_columns() {
@@ -859,65 +565,6 @@ mod tests {
         assert!(out.rms.is_finite());
     }
 
-    fn strs(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parse_threads_accepts_both_flag_forms_and_defaults_to_one() {
-        assert_eq!(parse_threads(&strs(&[])), Ok(1));
-        assert_eq!(parse_threads(&strs(&["--threads", "4"])), Ok(4));
-        assert_eq!(parse_threads(&strs(&["--threads=8"])), Ok(8));
-        assert_eq!(
-            parse_threads(&strs(&["--other", "x", "--threads", "2", "tail"])),
-            Ok(2)
-        );
-    }
-
-    #[test]
-    fn parse_threads_rejects_malformed_values() {
-        for bad in [
-            vec!["--threads"],
-            vec!["--threads", "--trace"],
-            vec!["--threads", "zero"],
-            vec!["--threads", "0"],
-            vec!["--threads=-3"],
-            vec!["--threads="],
-        ] {
-            assert!(parse_threads(&strs(&bad)).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_numeric_accepts_both_policies_and_defaults_to_exact() {
-        assert_eq!(parse_numeric(&strs(&[])), Ok(NumericPolicy::Exact));
-        assert_eq!(
-            parse_numeric(&strs(&["--numeric", "exact"])),
-            Ok(NumericPolicy::Exact)
-        );
-        assert_eq!(
-            parse_numeric(&strs(&["--numeric", "fast"])),
-            Ok(NumericPolicy::Fast)
-        );
-        assert_eq!(
-            parse_numeric(&strs(&["--threads", "2", "--numeric=fast"])),
-            Ok(NumericPolicy::Fast)
-        );
-    }
-
-    #[test]
-    fn parse_numeric_rejects_malformed_values() {
-        for bad in [
-            vec!["--numeric"],
-            vec!["--numeric", "--active"],
-            vec!["--numeric", "f32"],
-            vec!["--numeric="],
-            vec!["--numeric", "Fast"],
-        ] {
-            assert!(parse_numeric(&strs(&bad)).is_err(), "accepted {bad:?}");
-        }
-    }
-
     #[test]
     fn provenance_fields_embed_as_valid_json() {
         let doc = format!("{{{}}}", provenance_json_fields());
@@ -929,54 +576,76 @@ mod tests {
     }
 
     #[test]
-    fn parse_trace_path_handles_presence_absence_and_errors() {
-        assert_eq!(parse_trace_path(&strs(&[])), Ok(None));
-        assert_eq!(
-            parse_trace_path(&strs(&["--trace", "out.jsonl"])),
-            Ok(Some(PathBuf::from("out.jsonl")))
-        );
-        assert_eq!(
-            parse_trace_path(&strs(&["--trace=a/b.jsonl"])),
-            Ok(Some(PathBuf::from("a/b.jsonl")))
-        );
-        assert!(parse_trace_path(&strs(&["--trace"])).is_err());
-        assert!(parse_trace_path(&strs(&["--trace", "--threads"])).is_err());
-        assert!(parse_trace_path(&strs(&["--trace="])).is_err());
-    }
-
-    #[test]
-    fn run_model_observed_with_noop_matches_run_model() {
+    fn observed_chain_matches_the_plain_chain() {
         let model = mrf::TabularMrf::checkerboard(6, 6, 3, 4.0, mrf::DistanceFn::Binary, 0.3);
         let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let plain = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model(&model, &mut erased, schedule, 20, 7)
-        };
+        let plain = SamplerKind::Software.run(&model, schedule, 20, 7);
         let mut trace = mrf::EnergyTrace::new();
-        let observed = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model_observed(&model, &mut erased, schedule, 20, 7, &mut trace)
-        };
+        let observed = RunPlan::default()
+            .run(
+                &model,
+                &SamplerKind::Software,
+                schedule,
+                20,
+                7,
+                "",
+                &mut trace,
+            )
+            .unwrap();
         assert_eq!(plain, observed);
         assert_eq!(trace.len(), 20);
         let last = trace.records().last().unwrap();
         assert!(
-            (last.energy - total_energy(&model, &observed)).abs() < 1e-6,
+            (last.energy - mrf::total_energy(&model, &observed)).abs() < 1e-6,
             "incremental energy must track the true total"
         );
     }
 
+    /// An RNG whose every draw is the same 64-bit word.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(0);
+        }
+        fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
+            dest.fill(0);
+            Ok(())
+        }
+    }
+
     #[test]
-    fn erased_samplers_agree_with_sweep_solver_for_software() {
-        // run_model must implement the same loop as SweepSolver (raster
-        // scan): identical seeds → identical fields for the software
-        // kernel.
+    fn sampler_forwards_the_f32_draw() {
+        // Two equal energies and a uniform just below 1/2: the f64 draw
+        // picks label 0, the f32 draw rounds the scaled uniform up to the
+        // first cumulative weight and picks label 1. A `Sampler` falling
+        // back to the trait's widening default would return 0.
+        let word = ((1u64 << 52) - (1 << 26)) << 11;
+        let row = [0.0f32, 0.0];
+        let direct = SoftwareGibbs::new().sample_label_f32(&row, 0.0, 1.0, 0, &mut Fixed(word));
+        let widened = SoftwareGibbs::new().sample_label(&[0.0, 0.0], 1.0, 0, &mut Fixed(word));
+        assert_ne!(direct, widened, "the f32 and f64 draws must disagree here");
+        let forwarded =
+            SamplerKind::Software
+                .sampler()
+                .sample_label_f32(&row, 0.0, 1.0, 0, &mut Fixed(word));
+        assert_eq!(forwarded, direct);
+    }
+
+    #[test]
+    fn sampler_kind_run_is_the_raster_sweep_solver_chain() {
+        // Identical seeds → identical fields: the harness draws the
+        // initial field from the chain seed and keeps drawing from that
+        // stream in raster order.
         let model = mrf::TabularMrf::checkerboard(6, 6, 2, 4.0, mrf::DistanceFn::Binary, 0.3);
         let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let via_erased = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model(&model, &mut erased, schedule, 30, 9)
-        };
+        let via_kind = SamplerKind::Software.run(&model, schedule, 30, 9);
         let via_solver = {
             let mut rng = Xoshiro256pp::seed_from_u64(9);
             let mut field = LabelField::random(model.grid(), 2, &mut rng);
@@ -986,6 +655,6 @@ mod tests {
                 .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
             field
         };
-        assert_eq!(via_erased, via_solver);
+        assert_eq!(via_kind, via_solver);
     }
 }

@@ -1,13 +1,11 @@
 //! Determinism contract of the `fig_fault_sweep` driver's unit of work:
 //! a fault-injected array chain driven by
-//! [`bench::checkpoint::run_array_checkpointed`] is bit-identical across
+//! [`bench::RunPlan::run_array`] is bit-identical across
 //! host thread counts and across kill/resume at a sweep boundary, and
 //! its measured load accounting matches the analytic replay the driver
 //! uses to reconstruct artifacts after a resume.
 
-use bench::checkpoint::{run_array_checkpointed, CheckpointCtl};
-use bench::segmentation_schedule;
-use bench::{SEGMENT_DATA_WEIGHT, SEGMENT_SMOOTH_WEIGHT};
+use bench::{segment_model, segmentation_schedule, RunPlan};
 use mrf::{Checkpoint, MrfModel};
 use rsu::{DegradePolicy, FaultPlan, RsuArray, RsuConfig};
 use scenes::SegmentationSpec;
@@ -28,13 +26,7 @@ fn tiny_model() -> (scenes::SegmentationDataset, SegmentModel) {
         contrast: 140.0,
     }
     .generate(5);
-    let model = SegmentModel::new(
-        &ds.image,
-        LABELS,
-        SEGMENT_DATA_WEIGHT,
-        SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
+    let model = segment_model(&ds, LABELS);
     (ds, model)
 }
 
@@ -42,22 +34,28 @@ fn run_plan(
     model: &SegmentModel,
     plan: &FaultPlan,
     iterations: usize,
-    threads: usize,
-    ctl: &mut CheckpointCtl,
+    run: &mut RunPlan,
 ) -> (mrf::LabelField, RsuArray) {
     let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
     array.install_faults(plan.clone());
-    let field = run_array_checkpointed(
-        model,
-        &mut array,
-        segmentation_schedule(),
-        iterations,
-        CHAIN_SEED,
-        threads,
-        "t/fault-sweep",
-        ctl,
-    );
+    let field = run
+        .run_array(
+            model,
+            &mut array,
+            segmentation_schedule(),
+            iterations,
+            CHAIN_SEED,
+            "t/fault-sweep",
+        )
+        .expect("the checkpoint is the array's own");
     (field, array)
+}
+
+fn threads(threads: usize) -> RunPlan {
+    RunPlan {
+        threads,
+        ..RunPlan::default()
+    }
 }
 
 fn temp_ckpt(name: &str) -> PathBuf {
@@ -82,9 +80,9 @@ fn degraded_chain_is_bit_identical_across_thread_counts() {
     ];
     for (seed, count, policy) in cases {
         let plan = FaultPlan::random(seed, UNITS as usize, SWEEPS as u64, count, policy);
-        let (f1, a1) = run_plan(&model, &plan, SWEEPS, 1, &mut CheckpointCtl::disabled());
-        let (f2, _) = run_plan(&model, &plan, SWEEPS, 2, &mut CheckpointCtl::disabled());
-        let (f7, _) = run_plan(&model, &plan, SWEEPS, 7, &mut CheckpointCtl::disabled());
+        let (f1, a1) = run_plan(&model, &plan, SWEEPS, &mut threads(1));
+        let (f2, _) = run_plan(&model, &plan, SWEEPS, &mut threads(2));
+        let (f7, _) = run_plan(&model, &plan, SWEEPS, &mut threads(7));
         assert_eq!(f1, f2, "plan seed {seed}: 1 vs 2 threads");
         assert_eq!(f1, f7, "plan seed {seed}: 1 vs 7 threads");
         let predicted = plan.predicted_degradation(
@@ -116,20 +114,24 @@ fn degraded_chain_survives_kill_and_resume_at_a_sweep_boundary() {
         3,
         DegradePolicy::SoftwareFallback,
     );
-    let (uninterrupted, whole_array) =
-        run_plan(&model, &plan, SWEEPS, 2, &mut CheckpointCtl::disabled());
+    let (uninterrupted, whole_array) = run_plan(&model, &plan, SWEEPS, &mut threads(2));
     let path = temp_ckpt("fault-sweep-kill.ckpt");
     // "Kill" after 6 of 14 sweeps, checkpointing at the boundary.
-    {
-        let mut ctl = CheckpointCtl::new(Some(6), path.clone(), None);
-        run_plan(&model, &plan, 6, 1, &mut ctl);
-    }
+    let mut killed = RunPlan {
+        checkpoint_every: Some(6),
+        checkpoint_path: path.clone(),
+        ..threads(1)
+    };
+    run_plan(&model, &plan, 6, &mut killed);
     let cp = Checkpoint::load(&path).unwrap();
     assert_eq!(cp.next_iteration, 6);
     assert_eq!(cp.seed, CHAIN_SEED);
     // Resume on a fresh array at a different thread count.
-    let mut ctl = CheckpointCtl::new(None, PathBuf::new(), Some(cp));
-    let (resumed, tail_array) = run_plan(&model, &plan, SWEEPS, 3, &mut ctl);
+    let mut resumed_plan = RunPlan {
+        resume: Some(cp),
+        ..threads(3)
+    };
+    let (resumed, tail_array) = run_plan(&model, &plan, SWEEPS, &mut resumed_plan);
     assert_eq!(uninterrupted, resumed, "kill at 1 thread, resume at 3");
     // The resumed array measured sweeps 6..14 only; the driver's
     // artifact path reconstructs the full report analytically.

@@ -8,8 +8,6 @@
 //! rewriting the energy-to-intensity LUT (previous design, with stalls) or
 //! the comparison-boundary registers (new design, stall-free).
 
-use serde::{Deserialize, Serialize};
-
 /// A temperature schedule `T(iteration)`.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// // Clamped at the floor.
 /// assert_eq!(sa.temperature(10), 0.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Schedule {
     /// Fixed temperature (plain Gibbs sampling).
     Constant {

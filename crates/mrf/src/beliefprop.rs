@@ -11,10 +11,9 @@
 
 use crate::field::LabelField;
 use crate::model::{Label, MrfModel};
-use serde::{Deserialize, Serialize};
 
 /// Report of a belief-propagation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeliefPropReport {
     /// Message-passing iterations executed.
     pub iterations: u32,

@@ -31,9 +31,8 @@
 //!
 //! # File format
 //!
-//! The vendored `serde` facade is marker-traits-only (no serializer
-//! backend ships in-tree), so checkpoints use a self-contained,
-//! versioned, line-oriented text format instead. Every `f64` is
+//! The workspace has no serializer library, so checkpoints use a
+//! self-contained, versioned, line-oriented text format. Every `f64` is
 //! round-tripped through [`f64::to_bits`] as 16 hex digits — decimal
 //! formatting would lose the low mantissa bits and break the
 //! bit-identity contract. Writes go to a sibling temporary file which

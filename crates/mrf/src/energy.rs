@@ -1,7 +1,5 @@
 //! Label-distance functions for doubleton (pairwise) energies.
 
-use serde::{Deserialize, Serialize};
-
 /// The three label-distance functions the new RSU-G supports in its energy
 /// calculation stage (§IV-B1 of the paper):
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(DistanceFn::Binary.eval(2, 5), 1.0);
 /// assert_eq!(DistanceFn::Binary.eval(4, 4), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistanceFn {
     /// `(a − b)²`.
     Squared,

@@ -3,7 +3,6 @@
 use crate::grid::Grid;
 use crate::model::Label;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The labelling of every site on a grid — the latent variable state `X`
 /// that MCMC iterates on.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(field.get(4), 3);
 /// assert_eq!(field.num_labels(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelField {
     grid: Grid,
     num_labels: usize,

@@ -14,7 +14,6 @@ use crate::field::LabelField;
 use crate::maxflow::FlowNetwork;
 use crate::model::{Label, MrfModel};
 use crate::solver::total_energy;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -48,7 +47,7 @@ pub fn distance_is_metric(distance: DistanceFn) -> bool {
 }
 
 /// Report of one α-expansion run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpansionReport {
     /// Full passes over the label set executed.
     pub passes: u32,

@@ -1,7 +1,5 @@
 //! 2-D lattices and neighbourhood iteration.
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular 2-D lattice of sites, addressed either by `(x, y)`
 /// coordinates or by a flat row-major index.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(grid.neighbors(grid.index(1, 1)).count(), 4);
 /// assert_eq!(grid.neighbors(0).count(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Grid {
     width: usize,
     height: usize,

@@ -79,8 +79,8 @@ pub use metropolis::MetropolisSampler;
 pub use model::{Label, MrfModel, TabularMrf};
 pub use parallel::ParallelSweepSolver;
 pub use solver::{
-    solve, total_energy, IcmSampler, NumericPolicy, ScanOrder, SiteSampler, SoftwareGibbs,
-    SolveReport, SweepSolver,
+    solve, total_energy, IcmSampler, NumericPolicy, SiteSampler, SoftwareGibbs, SolveReport,
+    Solver, SweepSolver,
 };
 pub use trace::{
     effective_sample_size, potential_scale_reduction, EnergyTrace, FanOut, FaultRecord,

@@ -35,9 +35,10 @@
 //!
 //! Like the sequential [`SweepSolver`](crate::SweepSolver), the engine
 //! never rescans the field to report per-iteration energy. The full
-//! O(N·deg) [`total_energy`] is computed once up front; each accepted
-//! flip contributes the exact delta `energies[new] − energies[old]`
-//! (the local conditional energies already computed for the sampler).
+//! O(N·deg) [`total_energy`](crate::total_energy) is computed once up
+//! front; each accepted flip contributes the exact delta
+//! `energies[new] − energies[old]` (the local conditional energies
+//! already computed for the sampler).
 //!
 //! # Building blocks
 //!
@@ -47,15 +48,12 @@
 //! [`checkerboard_phase`], wrapping each unit in a [`BandWorker`].
 
 use crate::active::ActiveSet;
-use crate::annealing::Schedule;
-use crate::checkpoint::ResumeState;
 use crate::field::LabelField;
 use crate::model::{Label, MrfModel};
-use crate::solver::{total_energy, NumericPolicy, SiteSampler, SolveReport};
-use crate::trace::{replay_phase_site_updates, NoopObserver, SweepObserver, SweepRecord};
+use crate::solver::{NumericPolicy, SiteSampler, SiteVisitor, SolveReport, Solver};
+use crate::trace::{replay_phase_site_updates, NoopObserver, SweepObserver};
 use sampling::SiteRng;
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// The rows owned by band `band` when `height` rows are split over
 /// `bands` contiguous bands: `height / bands` rows each, with the first
@@ -100,14 +98,8 @@ impl<S> BandWorker<S> {
         }
     }
 
-    /// The wrapped sampler.
-    pub fn sampler_mut(&mut self) -> &mut S {
-        &mut self.sampler
-    }
-
     /// Global site indices that flipped in the band during the last
-    /// [`checkerboard_phase_scheduled`] call with flip recording on
-    /// (i.e. with an active set). Empty otherwise.
+    /// [`checkerboard_phase`] call with an active set. Empty otherwise.
     pub fn flipped(&self) -> &[usize] {
         &self.flipped
     }
@@ -143,57 +135,19 @@ struct BandTask<'a, S> {
 /// draws from `SiteRng::for_site(seed, iteration, site)`, making the
 /// result a pure function of the arguments — never of `threads`.
 ///
-/// # Panics
-///
-/// Panics if `workers` is empty or the field/model shapes disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn checkerboard_phase<M, S>(
-    model: &M,
-    field: &mut LabelField,
-    snapshot: &mut LabelField,
-    workers: &mut [BandWorker<S>],
-    threads: usize,
-    phase: usize,
-    temperature: f64,
-    iteration: u64,
-    seed: u64,
-) -> PhaseReport
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Send,
-{
-    checkerboard_phase_scheduled(
-        model,
-        field,
-        snapshot,
-        workers,
-        threads,
-        phase,
-        temperature,
-        iteration,
-        seed,
-        NumericPolicy::Exact,
-        None,
-    )
-}
-
-/// [`checkerboard_phase`] with the full scheduling surface: a
-/// [`NumericPolicy`] selecting the f64 or f32 site kernel, and an
-/// optional [`ActiveSet`] restricting the phase to its current mask.
-///
-/// With `active` supplied, each worker also records the global indices
-/// of its flipped sites (readable via [`BandWorker::flipped`] until the
-/// next scheduled call) so the driver can feed the worklist; sites
-/// outside the mask keep their labels and consume no randomness.
-/// `Exact` with `active = None` is bit-identical to the plain phase
-/// function.
+/// `numeric` selects the f64 or f32 site kernel. With an [`ActiveSet`]
+/// the phase visits only the sites of its current mask, and each worker
+/// records the global indices of its flipped sites (readable via
+/// [`BandWorker::flipped`] until the next call) so the driver can feed
+/// the worklist; sites outside the mask keep their labels and consume
+/// no randomness.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is empty, the field/model shapes disagree, or
 /// `active` tracks a different number of sites than the grid holds.
 #[allow(clippy::too_many_arguments)]
-pub fn checkerboard_phase_scheduled<M, S>(
+pub fn checkerboard_phase<M, S>(
     model: &M,
     field: &mut LabelField,
     snapshot: &mut LabelField,
@@ -273,7 +227,8 @@ where
         }
     } else {
         let group = tasks.len().div_ceil(host_threads);
-        crossbeam::scope(|s| {
+        // A panicking worker propagates out of the scope.
+        std::thread::scope(|s| {
             let run_task = &run_task;
             for chunk in tasks.chunks_mut(group) {
                 s.spawn(move || {
@@ -282,8 +237,7 @@ where
                     }
                 });
             }
-        })
-        .expect("parallel sweep worker panicked");
+        });
     }
 
     // Fold per-row reductions in row order: the summation order is
@@ -379,11 +333,21 @@ fn sweep_band<M, S>(
     }
 }
 
+/// The engine of [`ParallelSweepSolver`]: checkerboard phases sharded
+/// over row bands on up to `threads` worker threads, every site update
+/// drawing from its own [`SiteRng`] stream keyed on
+/// `(seed, iteration, site)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Checkerboard {
+    threads: usize,
+    seed: u64,
+}
+
 /// Multi-threaded checkerboard Gibbs solver.
 ///
-/// Mirrors the [`SweepSolver`](crate::SweepSolver) builder API but owns
-/// its randomness: instead of threading a sequential generator through
-/// the sweep, every site update derives an independent
+/// The [`Solver`] builder of [`SweepSolver`](crate::SweepSolver) with
+/// its own randomness: instead of threading a sequential generator
+/// through the sweep, every site update derives an independent
 /// [`SiteRng`] stream from `(seed, iteration, site)`. See the module
 /// documentation for the determinism contract.
 ///
@@ -408,115 +372,35 @@ fn sweep_band<M, S>(
 /// // Thread count never changes the result.
 /// assert_eq!(solve(1).as_slice(), solve(4).as_slice());
 /// ```
-#[derive(Debug, Clone)]
-pub struct ParallelSweepSolver<'m, M> {
-    model: &'m M,
-    schedule: Schedule,
-    iterations: usize,
-    threads: usize,
-    seed: u64,
-    early_stop: Option<(usize, f64)>,
-    resume: Option<ResumeState>,
-    numeric: NumericPolicy,
-    active: bool,
-}
+pub type ParallelSweepSolver<'m, M, O = NoopObserver> = Solver<'m, M, Checkerboard, O>;
 
 impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
     /// Creates a solver with defaults: constant temperature 1.0, 100
-    /// iterations, 1 thread, seed 0, no early stopping.
+    /// iterations, 1 thread, seed 0, no early stopping, no observer.
     pub fn new(model: &'m M) -> Self {
-        ParallelSweepSolver {
+        Solver::with_engine(
             model,
-            schedule: Schedule::constant(1.0),
-            iterations: 100,
-            threads: 1,
-            seed: 0,
-            early_stop: None,
-            resume: None,
-            numeric: NumericPolicy::Exact,
-            active: false,
-        }
+            Checkerboard {
+                threads: 1,
+                seed: 0,
+            },
+        )
     }
+}
 
-    /// Sets the temperature schedule.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets the iteration budget.
-    pub fn iterations(mut self, iterations: usize) -> Self {
-        self.iterations = iterations;
-        self
-    }
-
+impl<'m, M: MrfModel + Sync, O: SweepObserver> ParallelSweepSolver<'m, M, O> {
     /// Sets the number of worker threads (clamped to at least 1; bands
     /// never outnumber grid rows). The result is identical for every
     /// value — threads only change wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.engine.threads = threads.max(1);
         self
     }
 
     /// Sets the chain seed. Together with the model, initial field and
     /// sampler this fully determines the run.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Selects the numeric policy for the site kernel.
-    ///
-    /// [`NumericPolicy::Exact`] (the default) keeps the historical f64
-    /// path bit-for-bit. [`NumericPolicy::Fast`] runs the f32 kernel —
-    /// see [`SweepSolver::numeric`](crate::SweepSolver::numeric) for the
-    /// statistical-equivalence contract; the thread-count determinism
-    /// guarantee holds for both policies.
-    pub fn numeric(mut self, numeric: NumericPolicy) -> Self {
-        self.numeric = numeric;
-        self
-    }
-
-    /// Enables active-site sweep scheduling.
-    ///
-    /// Each iteration visits only sites that flipped — or neighbour a
-    /// flip — during the previous iteration (the first visits all).
-    /// Per-band flip lists are merged in band order into one worklist,
-    /// and site RNG streams are counter-based, so the result stays
-    /// bit-identical across thread counts; see
-    /// [`SweepSolver::active_sites`](crate::SweepSolver::active_sites)
-    /// for the chain-equivalence caveat.
-    pub fn active_sites(mut self, active: bool) -> Self {
-        self.active = active;
-        self
-    }
-
-    /// Stops early once the relative energy change across a trailing
-    /// `window` of iterations falls below `tolerance`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or `tolerance` is negative.
-    pub fn stop_when_converged(mut self, window: usize, tolerance: f64) -> Self {
-        assert!(window > 0, "window must be non-zero");
-        assert!(tolerance >= 0.0, "tolerance must be non-negative");
-        self.early_stop = Some((window, tolerance));
-        self
-    }
-
-    /// Continues an interrupted chain instead of starting at iteration 0.
-    ///
-    /// The caller restores the field (e.g. via
-    /// [`Checkpoint::restore_field`](crate::Checkpoint::restore_field));
-    /// no generator state is needed beyond the chain seed, because every
-    /// site update draws from `SiteRng::for_site(seed, iteration, site)`
-    /// — a pure function of the global iteration index. The solver runs
-    /// iterations `start_iteration..iterations`, continuing the stored
-    /// incremental energy bit-exactly, and the report spans the whole
-    /// chain, so a resumed run is indistinguishable from an
-    /// uninterrupted one at any thread count.
-    pub fn resume(mut self, resume: ResumeState) -> Self {
-        self.resume = Some(resume);
+        self.engine.seed = seed;
         self
     }
 
@@ -529,158 +413,98 @@ impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
     /// # Panics
     ///
     /// Panics if the field's grid or label count disagree with the model.
-    pub fn run<S>(&self, field: &mut LabelField, sampler: &S) -> SolveReport
+    pub fn run<S>(&mut self, field: &mut LabelField, sampler: &S) -> SolveReport
     where
         S: SiteSampler + Clone + Send,
     {
-        self.run_observed(field, sampler, &mut NoopObserver)
+        let Checkerboard { threads, seed } = self.engine;
+        let bands = threads.min(self.model.grid().height().max(1));
+        let mut board = CheckerboardSweep {
+            model: self.model,
+            workers: (0..bands)
+                .map(|_| BandWorker::new(sampler.clone()))
+                .collect(),
+            snapshot: field.clone(),
+            threads,
+            seed,
+            numeric: self.numeric,
+        };
+        self.drive(field, &mut board)
+    }
+}
+
+/// Checkerboard visits: the even phase then the odd phase, each sharded
+/// over row bands, every site drawing from its own counter-based stream.
+struct CheckerboardSweep<'a, M, S> {
+    model: &'a M,
+    workers: Vec<BandWorker<S>>,
+    snapshot: LabelField,
+    threads: usize,
+    seed: u64,
+    numeric: NumericPolicy,
+}
+
+impl<M: MrfModel + Sync, S: SiteSampler + Send> SiteVisitor for CheckerboardSweep<'_, M, S> {
+    fn begin_iteration(&mut self, temperature: f64) {
+        for worker in self.workers.iter_mut() {
+            worker.sampler.begin_iteration(temperature);
+        }
     }
 
-    /// Runs the solver with a [`SweepObserver`] attached.
-    ///
-    /// The chain is bit-identical to [`run`](Self::run) at every thread
-    /// count: per-band flip counters and energy deltas are folded in row
-    /// order before the observer sees them, and per-site hooks are
-    /// driven by a raster-order replay of each phase's snapshot diff —
-    /// never by the racing workers (see the `trace` module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field's grid or label count disagree with the model.
-    pub fn run_observed<S, O>(
-        &self,
+    fn sweep<O: SweepObserver>(
+        &mut self,
         field: &mut LabelField,
-        sampler: &S,
+        iteration: usize,
+        temperature: f64,
+        energy: &mut f64,
+        mut active: Option<&mut ActiveSet>,
         observer: &mut O,
-    ) -> SolveReport
-    where
-        S: SiteSampler + Clone + Send,
-        O: SweepObserver,
-    {
-        assert_eq!(field.grid(), self.model.grid(), "field grid mismatch");
-        assert_eq!(
-            field.num_labels(),
-            self.model.num_labels(),
-            "label count mismatch"
-        );
-        let height = self.model.grid().height();
-        let bands = self.threads.min(height.max(1));
-        let mut workers: Vec<BandWorker<S>> = (0..bands)
-            .map(|_| BandWorker::new(sampler.clone()))
-            .collect();
-        let mut snapshot = field.clone();
-
-        let start = self.resume.as_ref().map_or(0, |r| r.start_iteration);
-        let mut report = SolveReport {
-            energy_history: match &self.resume {
-                Some(r) => {
-                    let mut history = r.energy_history.clone();
-                    history.reserve(self.iterations.saturating_sub(start));
-                    history
-                }
-                None => Vec::with_capacity(self.iterations),
-            },
-            final_temperature: self.schedule.temperature(start),
-            iterations_run: start,
-            labels_changed: self.resume.as_ref().map_or(0, |r| r.labels_changed),
-            active_sites: None,
-        };
+    ) -> u64 {
         let grid = self.model.grid();
-        let mut active =
-            self.active.then(
-                || match self.resume.as_ref().and_then(|r| r.active_sites.clone()) {
-                    Some(mask) => {
-                        assert_eq!(mask.len(), grid.len(), "active mask length mismatch");
-                        ActiveSet::from_mask(mask)
-                    }
-                    None => ActiveSet::all_active(grid.len()),
-                },
+        let want_sites = observer.is_enabled() && observer.wants_site_updates();
+        let mut flips = 0u64;
+        for phase in 0..2 {
+            let outcome = checkerboard_phase(
+                self.model,
+                field,
+                &mut self.snapshot,
+                &mut self.workers,
+                self.threads,
+                phase,
+                temperature,
+                iteration as u64,
+                self.seed,
+                self.numeric,
+                active.as_deref(),
             );
-        // Resume continues the stored incremental accumulator; a fresh
-        // total_energy rescan would differ in the last ulp and break the
-        // bit-identity contract.
-        let mut energy = match &self.resume {
-            Some(r) => r.energy,
-            None => total_energy(self.model, field),
-        };
-        let observing = observer.is_enabled();
-        let want_sites = observing && observer.wants_site_updates();
-
-        for iter in start..self.iterations {
-            let sweep_start = observing.then(Instant::now);
-            let flips_before = report.labels_changed;
-            let temperature = self.schedule.temperature(iter);
-            for worker in workers.iter_mut() {
-                worker.sampler.begin_iteration(temperature);
-            }
-            let visited = active.as_ref().map(|set| set.active_count());
-            for phase in 0..2 {
-                let outcome = checkerboard_phase_scheduled(
-                    self.model,
-                    field,
-                    &mut snapshot,
-                    &mut workers,
-                    self.threads,
-                    phase,
-                    temperature,
-                    iter as u64,
-                    self.seed,
-                    self.numeric,
-                    active.as_ref(),
-                );
-                energy += outcome.delta_energy;
-                report.labels_changed += outcome.labels_changed;
-                // Merge per-band flip lists into the worklist in band
-                // order. Marking is an idempotent set-bit, so the merge
-                // order cannot change the next mask anyway — the band
-                // partition and thread count stay invisible.
-                if let Some(set) = &mut active {
-                    for worker in workers.iter() {
-                        for &site in worker.flipped() {
-                            set.mark_flip(&grid, site);
-                        }
+            *energy += outcome.delta_energy;
+            flips += outcome.labels_changed;
+            // Merge per-band flip lists into the worklist in band
+            // order. Marking is an idempotent set-bit, so the merge
+            // order cannot change the next mask anyway — the band
+            // partition and thread count stay invisible.
+            if let Some(set) = active.as_deref_mut() {
+                for worker in self.workers.iter() {
+                    for &site in worker.flipped() {
+                        set.mark_flip(&grid, site);
                     }
                 }
-                if want_sites {
-                    replay_phase_site_updates(&snapshot, field, phase, iter, observer);
-                }
             }
-            if let Some(set) = &mut active {
-                if observing {
-                    let visited = visited.unwrap_or(0);
-                    observer.on_active_sweep(iter, visited, grid.len() as u64 - visited);
-                }
-                set.advance();
-            }
-            if observing {
-                observer.on_sweep(&SweepRecord {
-                    iteration: iter,
-                    temperature,
-                    energy,
-                    flips: report.labels_changed - flips_before,
-                    elapsed: sweep_start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
-                });
-            }
-            report.energy_history.push(energy);
-            report.final_temperature = temperature;
-            report.iterations_run = iter + 1;
-            if let Some((window, tol)) = self.early_stop {
-                if crate::solver::has_converged(&report.energy_history, window, tol) {
-                    break;
-                }
+            if want_sites {
+                replay_phase_site_updates(&self.snapshot, field, phase, iteration, observer);
             }
         }
-        report.active_sites = active.map(|set| set.mask().to_vec());
-        report
+        flips
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annealing::Schedule;
     use crate::energy::DistanceFn;
     use crate::model::TabularMrf;
-    use crate::solver::SoftwareGibbs;
+    use crate::solver::{total_energy, SoftwareGibbs};
 
     fn test_model() -> TabularMrf {
         TabularMrf::checkerboard(8, 8, 3, 4.0, DistanceFn::Binary, 0.3)

@@ -3,11 +3,11 @@
 //! The paper's central claim is about *result quality over iterations*
 //! (Figs. 8/9 compare software vs RSU-G energy and %-bad-pixel
 //! trajectories), so the solvers expose a zero-overhead-when-off
-//! observation hook: every sweep engine — [`SweepSolver`],
-//! [`ParallelSweepSolver`] and the `rsu` crate's `RsuArray` sweeps —
-//! accepts a [`SweepObserver`] through a `*_observed` entry point, while
-//! the historical entry points delegate with [`NoopObserver`] and stay
-//! bit-identical to their pre-observability behaviour.
+//! observation hook: every sweep engine accepts a [`SweepObserver`] —
+//! [`SweepSolver`] and [`ParallelSweepSolver`] through their `observer`
+//! builder field (default [`NoopObserver`]), the `rsu` crate's
+//! `RsuArray::sweep_parallel` as an argument — and a disabled observer
+//! leaves the engine bit-identical to its unobserved behaviour.
 //!
 //! # The observer determinism contract
 //!
@@ -165,8 +165,8 @@ impl<O: SweepObserver + ?Sized> SweepObserver for &mut O {
     }
 }
 
-/// The do-nothing observer every historical entry point delegates with.
-/// Reports itself disabled, so engines skip all observation work.
+/// The do-nothing observer, the engines' default. Reports itself
+/// disabled, so engines skip all observation work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -279,7 +279,8 @@ pub fn replay_phase_site_updates<O: SweepObserver + ?Sized>(
 ///     .schedule(Schedule::geometric(3.0, 0.9, 0.05))
 ///     .iterations(40)
 ///     .seed(7)
-///     .run_observed(&mut field, &SoftwareGibbs::new(), &mut trace);
+///     .observer(&mut trace)
+///     .run(&mut field, &SoftwareGibbs::new());
 /// assert_eq!(trace.len(), report.iterations_run);
 /// assert_eq!(trace.energies().last(), report.energy_history.last());
 /// ```

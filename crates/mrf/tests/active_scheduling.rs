@@ -89,7 +89,8 @@ fn solver_visited_counts_match_brute_force_worklist() {
             .schedule(schedule)
             .iterations(iterations)
             .active_sites(true)
-            .run_observed(&mut field, &mut SoftwareGibbs::new(), &mut rng, &mut audit);
+            .observer(&mut audit)
+            .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
         audit
     };
     let parallel = {
@@ -102,7 +103,8 @@ fn solver_visited_counts_match_brute_force_worklist() {
             .threads(3)
             .seed(11)
             .active_sites(true)
-            .run_observed(&mut field, &SoftwareGibbs::new(), &mut audit);
+            .observer(&mut audit)
+            .run(&mut field, &SoftwareGibbs::new());
         audit
     };
 

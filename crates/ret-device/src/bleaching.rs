@@ -11,7 +11,6 @@
 //! of specification.
 
 use crate::error::DeviceError;
-use serde::{Deserialize, Serialize};
 
 /// Ageing model for one RET network's ensemble.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(shielded.live_fraction() > 0.9, "encapsulation extends life 30x");
 /// # Ok::<(), ret_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BleachingModel {
     /// Expected exposures before a chromophore bleaches.
     lifetime_exposures: f64,

@@ -11,7 +11,6 @@
 //! together set a network's base decay rate.
 
 use crate::error::DeviceError;
-use serde::{Deserialize, Serialize};
 
 /// An optically active molecule characterised by Gaussian-approximated
 /// absorption and emission spectra.
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let overlap = donor.emission_overlap(&acceptor);
 /// assert!(overlap > 0.1, "spectra overlap enough for RET");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chromophore {
     name: String,
     /// Absorption peak wavelength, nm.
@@ -142,7 +141,7 @@ impl Chromophore {
 /// Transfer efficiency follows the Förster law
 /// `E = 1 / (1 + (r / R0)^6)`, where the Förster radius `R0` scales with
 /// the spectral overlap and the donor quantum yield.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetPair {
     donor: Chromophore,
     acceptor: Chromophore,

@@ -16,7 +16,6 @@
 
 use crate::network::{RetCalibration, RetNetwork};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Concentration multipliers of the four networks on one waveguide row.
 pub const ROW_CONCENTRATIONS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
@@ -62,7 +61,7 @@ pub fn replicas_for_interference(truncation: f64, target: f64) -> u32 {
 /// this circuit (the circuit starts a new sample every `window_cycles`
 /// clock cycles; the bank interleaves several circuits to reach one
 /// sample per cycle).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetCircuit {
     cal: RetCalibration,
     /// `networks[row][lambda_code]`.
@@ -176,7 +175,7 @@ impl RetCircuit {
 /// issued per clock cycle: the structural-hazard mitigation of both RSU-G
 /// designs ("replicated RET circuits are used to avoid structural hazards
 /// caused by this multicycle stage", §II-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetCircuitBank {
     circuits: Vec<RetCircuit>,
     cycle: u64,

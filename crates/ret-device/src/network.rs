@@ -3,7 +3,6 @@
 use crate::error::DeviceError;
 use rand::Rng;
 use sampling::Exponential;
-use serde::{Deserialize, Serialize};
 
 /// Calibration shared by every RET network in an RSU-G: the time
 /// resolution and the distribution truncation jointly pin the base decay
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(((-lambda0 * 32.0).exp() - 0.5).abs() < 1e-12);
 /// # Ok::<(), ret_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetCalibration {
     time_bits: u32,
     truncation: f64,
@@ -132,7 +131,7 @@ pub fn sample_binned_ttf<R: Rng + ?Sized>(
 /// ("the RET network may still have excited chromophores that fluoresce
 /// at a later time", §IV-B6) and a later window on the same network can
 /// observe this *unwanted* photon instead of its own.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetNetwork {
     /// Concentration multiplier relative to the λ0 network (1, 2, 4, 8 in
     /// the new design).

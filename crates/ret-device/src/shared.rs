@@ -16,7 +16,6 @@ use crate::circuit::{replicas_for_interference, INTERFERENCE_TARGET};
 use crate::error::DeviceError;
 use crate::network::{RetCalibration, RetNetwork};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One light source + waveguide serving the same replica-row position of
 /// several RSU-Gs.
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(wg.min_reuse_windows(), 8, "the truncation-0.5 cooldown");
 /// # Ok::<(), ret_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedWaveguide {
     cal: RetCalibration,
     /// One row (4 concentrations) per subscribing RSU-G.
@@ -163,7 +162,7 @@ impl SharedWaveguide {
 /// slot in turn: with `n ≥` [`SharedWaveguide::min_reuse_windows`], every
 /// row's cooldown is satisfied by construction — the paper's observation
 /// that sharing *replaces* replication.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     subscribers: u32,
     next: u32,

@@ -10,7 +10,6 @@
 use crate::error::DeviceError;
 use rand::Rng;
 use sampling::Exponential;
-use serde::{Deserialize, Serialize};
 
 /// A single-photon avalanche detector with Poissonian dark counts.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p < 1e-5, "dark counts are negligible at RSU-G speed");
 /// # Ok::<(), ret_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spad {
     dark_count_rate_hz: f64,
 }
@@ -122,7 +121,7 @@ impl Spad {
 }
 
 /// A SPAD detection event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Time from window start, seconds.
     pub time_s: f64,

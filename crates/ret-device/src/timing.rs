@@ -12,7 +12,6 @@
 //! `Cycles = 2^Time_bits / 8`."
 
 use crate::error::DeviceError;
-use serde::{Deserialize, Serialize};
 
 /// The timing circuit of one RET circuit: a clock multiplier plus an
 /// 8-bit unary shift register per clock cycle, extended over several
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(timer.bin_of_ns(4.2), None);
 /// # Ok::<(), ret_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShiftRegisterTimer {
     clock_ghz: f64,
     multiplier: u32,

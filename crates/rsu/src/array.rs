@@ -7,11 +7,12 @@
 //! decomposition is the checkerboard: all even-parity sites form one
 //! phase, all odd-parity sites the other, and within a phase every site
 //! may be assigned to a different RSU-G. [`RsuArray`] executes such
-//! sweeps, distributes sites round-robin over its units, accounts the
-//! cycles each unit spends, and — because the functional samplers are
+//! sweeps with its units mapped onto contiguous row bands, accounts the
+//! cycles each unit spends, and — because every site update draws from
+//! its own counter-based stream and the functional samplers are
 //! stateless between evaluations on the ideal photon path — produces
-//! *exactly* the same chain as a single unit consuming the same random
-//! stream, which the tests verify.
+//! *exactly* the same chain for any unit count and any host thread
+//! count, which the tests verify.
 //!
 //! The array also degrades gracefully under an installed
 //! [`FaultPlan`]: bleached units keep sampling at a derated emission
@@ -23,18 +24,14 @@
 
 use crate::config::RsuConfig;
 use crate::fault::{DegradationReport, DegradePolicy, FaultKind, FaultPlan};
-use crate::pipeline::PipelineModel;
 use crate::sampler::{RsuG, RsuStats};
-use mrf::trace::{
-    replay_phase_site_updates, FaultRecord, NoopObserver, SweepObserver, SweepRecord,
-};
-use mrf::{total_energy, Label, LabelField, MrfModel, SiteSampler, SoftwareGibbs};
+use mrf::trace::{replay_phase_site_updates, FaultRecord, SweepObserver, SweepRecord};
+use mrf::{total_energy, Label, LabelField, MrfModel, NumericPolicy, SiteSampler, SoftwareGibbs};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Report of one array sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArraySweepReport {
     /// Sites updated.
     pub sites: u64,
@@ -60,7 +57,6 @@ impl ArraySweepReport {
 #[derive(Debug, Clone)]
 pub struct RsuArray {
     units: Vec<RsuG>,
-    model_labels: usize,
     /// Pre-phase label snapshot reused across
     /// [`sweep_parallel`](Self::sweep_parallel) calls, so steady-state
     /// sweeps allocate nothing (it is rebuilt only when the field shape
@@ -142,7 +138,6 @@ impl RsuArray {
         assert!(count > 0, "need at least one unit");
         RsuArray {
             units: (0..count).map(|_| RsuG::with_config(config)).collect(),
-            model_labels: 0,
             snapshot: None,
             faults: None,
         }
@@ -200,9 +195,9 @@ impl RsuArray {
     /// retired units, and sites served by the software fallback. `None`
     /// while the array is healthy.
     ///
-    /// For the band-mapped parallel sweep mode this agrees exactly with
-    /// [`FaultPlan::predicted_degradation`], which a resuming driver can
-    /// therefore use to reconstruct the full-run report without state.
+    /// This agrees exactly with [`FaultPlan::predicted_degradation`],
+    /// which a resuming driver can therefore use to reconstruct the
+    /// full-run report without state.
     pub fn degradation_report(&self) -> Option<&DegradationReport> {
         self.faults.as_ref().map(|s| &s.degradation)
     }
@@ -245,11 +240,11 @@ impl RsuArray {
         total
     }
 
-    /// Per-sweep fault prologue shared by both sweep modes: derates
-    /// active bleached units, resolves how each unit's sites are served
-    /// this sweep, and (when observing) reports faults activating at
-    /// exactly this sweep. Returns an empty table when no plan is
-    /// installed — the caller then takes the unchanged healthy path.
+    /// Per-sweep fault prologue: derates active bleached units, resolves
+    /// how each unit's sites are served this sweep, and (when observing)
+    /// reports faults activating at exactly this sweep. Returns an empty
+    /// table when no plan is installed — the caller then takes the
+    /// unchanged healthy path.
     fn fault_service<O: SweepObserver>(
         units: &mut [RsuG],
         faults: Option<&FaultState>,
@@ -304,235 +299,34 @@ impl RsuArray {
         service
     }
 
-    /// Runs one checkerboard sweep at the given temperature: the even
-    /// phase then the odd phase, sites within a phase distributed
-    /// round-robin over the units in raster order.
+    /// Runs one checkerboard sweep — the even phase then the odd phase —
+    /// with the units mapped onto contiguous row-band shards, executed
+    /// on up to `threads` host threads via
+    /// `mrf::parallel::checkerboard_phase`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the field and model disagree, or the model's label
-    /// count exceeds the units' maximum.
-    pub fn sweep<M, R>(
-        &mut self,
-        model: &M,
-        field: &mut LabelField,
-        temperature: f64,
-        rng: &mut R,
-    ) -> ArraySweepReport
-    where
-        M: MrfModel,
-        R: Rng + ?Sized,
-    {
-        self.sweep_observed(model, field, temperature, 0, rng, &mut NoopObserver)
-    }
-
-    /// Like [`sweep`](Self::sweep) with a [`SweepObserver`] attached.
-    ///
-    /// `iteration` labels the sweep in emitted records (the caller
-    /// advances it once per sweep of a chain). The chain and the unit
-    /// statistics are bit-identical to [`sweep`](Self::sweep); when the
-    /// observer is enabled the sweep additionally pays one
-    /// [`total_energy`] scan to seed the incremental energy it reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field and model disagree, or the model's label
-    /// count exceeds the units' maximum.
-    pub fn sweep_observed<M, R, O>(
-        &mut self,
-        model: &M,
-        field: &mut LabelField,
-        temperature: f64,
-        iteration: usize,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> ArraySweepReport
-    where
-        M: MrfModel,
-        R: Rng + ?Sized,
-        O: SweepObserver,
-    {
-        assert_eq!(field.grid(), model.grid(), "field grid mismatch");
-        assert_eq!(
-            field.num_labels(),
-            model.num_labels(),
-            "label count mismatch"
-        );
-        self.model_labels = model.num_labels();
-        let grid = model.grid();
-        for unit in &mut self.units {
-            unit.begin_iteration(temperature);
-        }
-        let observing = observer.is_enabled();
-        let want_sites = observing && observer.wants_site_updates();
-        let sweep_start = observing.then(Instant::now);
-        let mut energy = observing.then(|| total_energy(model, field));
-        let mut flips = 0u64;
-        // Resolve this sweep's degradation (empty table = healthy fast
-        // path, bit-identical to an array with no plan installed). In
-        // this serialised mode a remapped slot dispatches directly to
-        // its target unit — there is no aliasing to work around.
-        let service = Self::fault_service(
-            &mut self.units,
-            self.faults.as_ref(),
-            iteration as u64,
-            observing,
-            observer,
-        );
-        let mut software = SoftwareGibbs::new();
-        let mut energies = Vec::with_capacity(model.num_labels());
-        let mut report = ArraySweepReport {
-            sites: 0,
-            critical_path_cycles: 0,
-            busy_unit_cycles: 0,
-        };
-        let mut remapped_sites = 0u64;
-        let mut software_sites = 0u64;
-        for parity in 0..2usize {
-            let mut phase_sites = 0u64;
-            let mut next_unit = 0usize;
-            let mut unit_slots = (!service.is_empty()).then(|| vec![0u64; self.units.len()]);
-            for site in grid.sites() {
-                let (x, y) = grid.coords(site);
-                if (x + y) % 2 != parity {
-                    continue;
-                }
-                model.local_energies(site, field, &mut energies);
-                let current = field.get(site);
-                let slot = next_unit;
-                next_unit = (next_unit + 1) % self.units.len();
-                let new = match service.get(slot) {
-                    None | Some(UnitService::InPlace) => {
-                        if let Some(slots) = unit_slots.as_mut() {
-                            slots[slot] += 1;
-                        }
-                        self.units[slot].sample_label(&energies, temperature, current, rng)
-                    }
-                    Some(UnitService::Remapped { target }) => {
-                        if let Some(slots) = unit_slots.as_mut() {
-                            slots[*target] += 1;
-                        }
-                        remapped_sites += 1;
-                        self.units[*target].sample_label(&energies, temperature, current, rng)
-                    }
-                    Some(UnitService::Software) => {
-                        software_sites += 1;
-                        software.sample_label(&energies, temperature, current, rng)
-                    }
-                };
-                if new != current {
-                    if let Some(e) = energy.as_mut() {
-                        *e += energies[new as usize] - energies[current as usize];
-                    }
-                    flips += 1;
-                    field.set(site, new);
-                    if want_sites {
-                        observer.on_site_update(iteration, site, current, new);
-                    }
-                }
-                phase_sites += 1;
-            }
-            // Critical path: the busiest unit handles ceil(phase/units)
-            // sites, each costing M cycles. Under degradation the exact
-            // per-unit slot counts replace the closed form: remapped
-            // slots pile onto their target, software-served slots cost
-            // host time rather than unit cycles.
-            let labels = model.num_labels() as u64;
-            match &unit_slots {
-                None => {
-                    let per_unit = phase_sites.div_ceil(self.units.len() as u64);
-                    report.critical_path_cycles += per_unit * labels;
-                    report.busy_unit_cycles += phase_sites * labels;
-                }
-                Some(slots) => {
-                    let busiest = slots.iter().copied().max().unwrap_or(0);
-                    let unit_sites: u64 = slots.iter().sum();
-                    report.critical_path_cycles += busiest * labels;
-                    report.busy_unit_cycles += unit_sites * labels;
-                    if let Some(state) = self.faults.as_mut() {
-                        for (acc, s) in state.degradation.unit_sites.iter_mut().zip(slots) {
-                            *acc += *s;
-                        }
-                    }
-                }
-            }
-            report.sites += phase_sites;
-        }
-        if let Some(state) = self.faults.as_mut() {
-            state.degradation.remapped_sites += remapped_sites;
-            state.degradation.software_sites += software_sites;
-            state.degradation.sweeps += 1;
-        }
-        if observing {
-            observer.on_sweep(&SweepRecord {
-                iteration,
-                temperature,
-                energy: energy.unwrap_or(f64::NAN),
-                flips,
-                elapsed: sweep_start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
-            });
-        }
-        report
-    }
-
-    /// Runs one checkerboard sweep with the units mapped onto
-    /// contiguous row-band shards, executed on up to `threads` host
-    /// threads via `mrf::parallel::checkerboard_phase`.
-    ///
-    /// Unlike [`sweep`](Self::sweep), which serialises all units behind
-    /// one shared random stream, this mode gives every site update its
-    /// own counter-based stream keyed on `(seed, iteration, site)`, so
-    /// the resulting chain — and each unit's statistics, since the
-    /// unit→band mapping is fixed — is **identical for every host
-    /// thread count**. Unit `i` services band `i` of
-    /// `mrf::parallel::band_rows(height, units, i)`; units beyond the
-    /// grid's row count idle.
+    /// Every site update draws from its own counter-based stream keyed
+    /// on `(seed, iteration, site)`, so the resulting chain — and each
+    /// unit's statistics, since the unit→band mapping is fixed — is
+    /// **identical for every host thread count**. Unit `i` services
+    /// band `i` of `mrf::parallel::band_rows(height, units, i)`; units
+    /// beyond the grid's row count idle.
     ///
     /// The caller advances `iteration` once per sweep so that site
     /// streams never repeat across sweeps of one chain.
     ///
-    /// # Panics
-    ///
-    /// Panics if the field and model disagree.
-    pub fn sweep_parallel<M>(
-        &mut self,
-        model: &M,
-        field: &mut LabelField,
-        temperature: f64,
-        iteration: u64,
-        seed: u64,
-        threads: usize,
-    ) -> ArraySweepReport
-    where
-        M: MrfModel + Sync,
-    {
-        self.sweep_parallel_observed(
-            model,
-            field,
-            temperature,
-            iteration,
-            seed,
-            threads,
-            &mut NoopObserver,
-        )
-    }
-
-    /// Like [`sweep_parallel`](Self::sweep_parallel) with a
-    /// [`SweepObserver`] attached.
-    ///
-    /// The chain, statistics and report stay bit-identical to
-    /// [`sweep_parallel`](Self::sweep_parallel) at every host thread
-    /// count: flip counters and energy deltas are folded in row order
-    /// by the phase engine, and per-site hooks replay each phase's
-    /// snapshot diff in raster order on the driver thread. When the
-    /// observer is enabled the sweep additionally pays one
-    /// [`total_energy`] scan to seed the incremental energy it reports.
+    /// `observer` sees the sweep record, site updates and fault
+    /// activations; attaching one never changes the chain, statistics
+    /// or report: flip counters and energy deltas are folded in row
+    /// order by the phase engine, and per-site hooks replay each phase's
+    /// snapshot diff in raster order on the driver thread. An enabled
+    /// observer additionally costs one [`total_energy`] scan to seed the
+    /// incremental energy it reports; pass `&mut NoopObserver` for none.
     ///
     /// # Panics
     ///
     /// Panics if the field and model disagree.
     #[allow(clippy::too_many_arguments)]
-    pub fn sweep_parallel_observed<M, O>(
+    pub fn sweep_parallel<M, O>(
         &mut self,
         model: &M,
         field: &mut LabelField,
@@ -552,7 +346,6 @@ impl RsuArray {
             model.num_labels(),
             "label count mismatch"
         );
-        self.model_labels = model.num_labels();
         let grid = model.grid();
         let width = grid.width();
         let height = grid.height();
@@ -643,6 +436,8 @@ impl RsuArray {
                 temperature,
                 iteration,
                 seed,
+                NumericPolicy::Exact,
+                None,
             );
             if let Some(e) = energy.as_mut() {
                 *e += phase.delta_energy;
@@ -721,19 +516,12 @@ impl RsuArray {
         }
         report
     }
-
-    /// The per-unit pipeline model for the most recent sweep's label
-    /// count (`None` before any sweep).
-    pub fn pipeline_model(&self) -> Option<PipelineModel> {
-        (self.model_labels > 0)
-            .then(|| PipelineModel::new(crate::pipeline::DesignKind::New, *self.units[0].config()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrf::{DistanceFn, TabularMrf};
+    use mrf::{DistanceFn, NoopObserver, TabularMrf};
     use rand::SeedableRng;
     use sampling::Xoshiro256pp;
 
@@ -744,15 +532,16 @@ mod tests {
     #[test]
     fn any_unit_count_produces_the_identical_chain() {
         // On the ideal photon path the units are stateless between
-        // evaluations, so distributing sites over 1, 3 or 16 units with
-        // the same random stream must give bit-identical fields.
+        // evaluations and every site draws from its own stream, so
+        // banding the sites over 1, 3 or 16 units must give
+        // bit-identical fields.
         let m = model();
         let run = |units: u32| {
             let mut rng = Xoshiro256pp::seed_from_u64(9);
             let mut field = LabelField::random(m.grid(), 3, &mut rng);
             let mut array = RsuArray::new(RsuConfig::new_design(), units);
-            for _ in 0..20 {
-                array.sweep(&m, &mut field, 1.5, &mut rng);
+            for iter in 0..20 {
+                array.sweep_parallel(&m, &mut field, 1.5, iter, 9, 1, &mut NoopObserver);
             }
             field
         };
@@ -764,68 +553,13 @@ mod tests {
     }
 
     #[test]
-    fn array_converges_on_checkerboard_problem() {
-        let m = model();
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let mut field = LabelField::random(m.grid(), 3, &mut rng);
-        let mut array = RsuArray::new(RsuConfig::new_design(), 8);
-        for i in 0..120 {
-            let t = (3.0f64 * 0.93f64.powi(i)).max(0.1);
-            array.sweep(&m, &mut field, t, &mut rng);
-        }
-        let truth = TabularMrf::checkerboard_truth(8, 8, 3);
-        assert!(
-            field.disagreement(&truth) < 0.1,
-            "disagreement {}",
-            field.disagreement(&truth)
-        );
-    }
-
-    #[test]
-    fn critical_path_shrinks_with_units() {
-        let m = model();
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let mut field = LabelField::random(m.grid(), 3, &mut rng);
-        let mut small = RsuArray::new(RsuConfig::new_design(), 1);
-        let mut big = RsuArray::new(RsuConfig::new_design(), 8);
-        let r1 = small.sweep(&m, &mut field, 1.0, &mut rng);
-        let r8 = big.sweep(&m, &mut field, 1.0, &mut rng);
-        assert_eq!(r1.sites, 64);
-        assert_eq!(
-            r1.critical_path_cycles,
-            64 * 3,
-            "one unit does all the work"
-        );
-        assert_eq!(
-            r8.critical_path_cycles,
-            2 * 4 * 3,
-            "32 sites/phase over 8 units"
-        );
-        assert!(
-            r8.efficiency(8) > 0.99,
-            "perfect divisibility → full efficiency"
-        );
-    }
-
-    #[test]
-    fn efficiency_degrades_with_remainders() {
-        // 5 units over 32-site phases: ceil(32/5) = 7 → efficiency 32/35.
-        let m = model();
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
-        let mut field = LabelField::random(m.grid(), 3, &mut rng);
-        let mut array = RsuArray::new(RsuConfig::new_design(), 5);
-        let r = array.sweep(&m, &mut field, 1.0, &mut rng);
-        assert!((r.efficiency(5) - 32.0 / 35.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn combined_stats_cover_all_sites() {
         let m = model();
         let mut rng = Xoshiro256pp::seed_from_u64(1);
         let mut field = LabelField::random(m.grid(), 3, &mut rng);
         let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-        for _ in 0..10 {
-            array.sweep(&m, &mut field, 1.0, &mut rng);
+        for iter in 0..10 {
+            array.sweep_parallel(&m, &mut field, 1.0, iter, 1, 2, &mut NoopObserver);
         }
         let stats = array.combined_stats();
         assert_eq!(stats.variable_evaluations, 64 * 10);
@@ -850,7 +584,15 @@ mod tests {
             let mut array = RsuArray::new(RsuConfig::new_design(), 4);
             let mut reports = Vec::new();
             for iter in 0..20 {
-                reports.push(array.sweep_parallel(&m, &mut field, 1.5, iter, 77, threads));
+                reports.push(array.sweep_parallel(
+                    &m,
+                    &mut field,
+                    1.5,
+                    iter,
+                    77,
+                    threads,
+                    &mut NoopObserver,
+                ));
             }
             (field, array.combined_stats(), reports)
         };
@@ -871,7 +613,7 @@ mod tests {
         let mut array = RsuArray::new(RsuConfig::new_design(), 8);
         for i in 0..120 {
             let t = (3.0f64 * 0.93f64.powi(i)).max(0.1);
-            array.sweep_parallel(&m, &mut field, t, i as u64, 5, 2);
+            array.sweep_parallel(&m, &mut field, t, i as u64, 5, 2, &mut NoopObserver);
         }
         let truth = TabularMrf::checkerboard_truth(8, 8, 3);
         assert!(
@@ -893,7 +635,15 @@ mod tests {
             }
             let mut reports = Vec::new();
             for iter in 0..12 {
-                reports.push(array.sweep_parallel(&m, &mut field, 1.2, iter, 11, 2));
+                reports.push(array.sweep_parallel(
+                    &m,
+                    &mut field,
+                    1.2,
+                    iter,
+                    11,
+                    2,
+                    &mut NoopObserver,
+                ));
             }
             (field, array.combined_stats(), reports)
         };
@@ -930,7 +680,15 @@ mod tests {
             array.install_faults(plan.clone());
             let mut reports = Vec::new();
             for iter in 0..20 {
-                reports.push(array.sweep_parallel(&m, &mut field, 1.5, iter, 77, threads));
+                reports.push(array.sweep_parallel(
+                    &m,
+                    &mut field,
+                    1.5,
+                    iter,
+                    77,
+                    threads,
+                    &mut NoopObserver,
+                ));
             }
             (field, array.combined_stats(), reports)
         };
@@ -978,7 +736,7 @@ mod tests {
         array.install_faults(plan);
         let mut recorder = FaultRecorder::default();
         for iter in 0..10 {
-            array.sweep_parallel_observed(&m, &mut field, 1.5, iter, 7, 2, &mut recorder);
+            array.sweep_parallel(&m, &mut field, 1.5, iter, 7, 2, &mut recorder);
         }
         assert_eq!(
             recorder.faults.len(),
@@ -1023,7 +781,7 @@ mod tests {
                 kind: crate::fault::FaultKind::DeadSpad,
             },
         ));
-        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 0, 2);
+        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 0, 2, &mut NoopObserver);
         assert_eq!(r.sites, 64);
         assert_eq!(
             r.busy_unit_cycles,
@@ -1055,7 +813,7 @@ mod tests {
                 kind: crate::fault::FaultKind::Stuck,
             },
         ));
-        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 0, 2);
+        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 0, 2, &mut NoopObserver);
         assert_eq!(r.sites, 64, "every site is still updated");
         assert_eq!(r.busy_unit_cycles, 48 * 3, "one band's work left the array");
         assert_eq!(r.critical_path_cycles, 2 * 8 * 3);
@@ -1081,56 +839,10 @@ mod tests {
                     kind: crate::fault::FaultKind::Stuck,
                 }),
         );
-        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 3, 2);
+        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 3, 2, &mut NoopObserver);
         assert_eq!(r.sites, 64);
         assert_eq!(r.busy_unit_cycles, 0, "no healthy unit remains");
         assert_eq!(array.combined_stats().variable_evaluations, 0);
-    }
-
-    #[test]
-    fn sequential_sweep_degrades_identically_across_runs() {
-        // The serialised mode shares one random stream, so determinism
-        // is per-run; a degraded chain must still reproduce exactly.
-        let m = model();
-        let plan = FaultPlan::new(DegradePolicy::RemapToHealthy)
-            .with_fault(crate::fault::ScheduledFault {
-                unit: 1,
-                sweep: 2,
-                kind: crate::fault::FaultKind::DeadSpad,
-            })
-            .with_fault(crate::fault::ScheduledFault {
-                unit: 0,
-                sweep: 4,
-                kind: crate::fault::FaultKind::Bleached {
-                    lifetime_sweeps: 5.0,
-                },
-            });
-        let run = || {
-            let mut rng = Xoshiro256pp::seed_from_u64(8);
-            let mut field = LabelField::random(m.grid(), 3, &mut rng);
-            let mut array = RsuArray::new(RsuConfig::new_design(), 2);
-            array.install_faults(plan.clone());
-            let mut reports = Vec::new();
-            for iter in 0..12 {
-                reports.push(array.sweep_observed(
-                    &m,
-                    &mut field,
-                    1.2,
-                    iter,
-                    &mut rng,
-                    &mut NoopObserver,
-                ));
-            }
-            (field, array.combined_stats(), reports)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        // After sweep 2 every slot lands on unit 0: critical path equals
-        // total unit work for those sweeps.
-        let late = a.2.last().expect("ran sweeps");
-        assert_eq!(late.busy_unit_cycles, 64 * 3);
-        assert_eq!(late.critical_path_cycles, 64 * 3);
     }
 
     #[test]
@@ -1147,7 +859,7 @@ mod tests {
                 array.install_faults(plan);
             }
             for iter in 0..30 {
-                array.sweep_parallel(&m, &mut field, 0.8, iter, 21, 2);
+                array.sweep_parallel(&m, &mut field, 0.8, iter, 21, 2, &mut NoopObserver);
             }
             (field, array.combined_stats())
         };
@@ -1213,7 +925,7 @@ mod tests {
             let mut array = RsuArray::new(RsuConfig::new_design(), 4);
             array.install_faults(policy_plan.clone());
             for iter in 0..sweeps {
-                array.sweep_parallel(&m, &mut field, 1.5, iter, 77, 2);
+                array.sweep_parallel(&m, &mut field, 1.5, iter, 77, 2, &mut NoopObserver);
             }
             let measured = array.degradation_report().expect("plan installed");
             let predicted = policy_plan.predicted_degradation(4, 8, 8, sweeps);
@@ -1223,40 +935,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_degradation_report_conserves_sites() {
-        // The serialised mode distributes slots round-robin rather than
-        // by band, so the analytic band replay does not apply — but the
-        // totals must still conserve and classify every site.
-        let m = model();
-        let mut rng = Xoshiro256pp::seed_from_u64(8);
-        let mut field = LabelField::random(m.grid(), 3, &mut rng);
-        let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-        array.install_faults(FaultPlan::new(DegradePolicy::SoftwareFallback).with_fault(
-            crate::fault::ScheduledFault {
-                unit: 1,
-                sweep: 0,
-                kind: crate::fault::FaultKind::DeadSpad,
-            },
-        ));
-        for _ in 0..10 {
-            array.sweep(&m, &mut field, 1.2, &mut rng);
-        }
-        let report = array.degradation_report().expect("plan installed");
-        assert_eq!(report.sweeps, 10);
-        assert_eq!(report.total_sites(), 64 * 10);
-        // Unit 1's round-robin slots (16 per sweep) went to software.
-        assert_eq!(report.software_sites, 16 * 10);
-        assert_eq!(report.unit_sites[1], 0);
-        assert!((report.software_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn healthy_array_reports_no_degradation() {
         let m = model();
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut field = LabelField::random(m.grid(), 3, &mut rng);
         let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-        array.sweep(&m, &mut field, 1.0, &mut rng);
+        array.sweep_parallel(&m, &mut field, 1.0, 0, 3, 2, &mut NoopObserver);
         assert!(array.degradation_report().is_none());
     }
 
@@ -1269,7 +953,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let mut field = LabelField::random(m.grid(), 3, &mut rng);
         let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 0, 2);
+        let r = array.sweep_parallel(&m, &mut field, 1.0, 0, 0, 2, &mut NoopObserver);
         assert_eq!(r.sites, 64);
         assert_eq!(r.busy_unit_cycles, 64 * 3);
         assert_eq!(r.critical_path_cycles, 2 * 8 * 3, "8 sites/band/phase");

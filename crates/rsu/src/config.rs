@@ -1,10 +1,9 @@
 //! RSU-G design-point configuration.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// How energies are converted to decay-rate codes (§IV-B3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Conversion {
     /// A 2^energy_bits-entry lookup table holding precomputed λ codes
     /// (the previous design). Rewriting it on a temperature update stalls
@@ -17,7 +16,7 @@ pub enum Conversion {
 }
 
 /// How the physical decay rate of a RET network is set (§IV-B4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RateControl {
     /// QDLED emission intensity selects the rate (previous design); the
     /// number of QDLEDs/DAC precision scales with the count of unique
@@ -29,7 +28,7 @@ pub enum RateControl {
 }
 
 /// How time-to-fluorescence samples are produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhotonPath {
     /// Exact stateless sampling of the truncated exponential — the
     /// functional-simulator path used for quality studies (fast, no
@@ -43,7 +42,7 @@ pub enum PhotonPath {
 
 /// What the selection stage does with labels whose photon never arrives
 /// within the detection window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CensoredPolicy {
     /// Censored labels drop out of the race; if *no* label fires, the
     /// unit falls back to the largest-λ label (deterministic forward
@@ -60,7 +59,7 @@ pub enum CensoredPolicy {
 
 /// Tie-breaking policy when several labels land in the same earliest
 /// time bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TieBreak {
     /// Uniformly random among the tied labels (used by the quality
     /// studies; keeps the ratio-1 line of Fig. 7 flat).
@@ -92,7 +91,7 @@ pub enum TieBreak {
 /// assert_eq!(custom.lambda_bits(), 6);
 /// # Ok::<(), rsu::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RsuConfig {
     energy_bits: u32,
     lambda_bits: u32,
@@ -431,6 +430,21 @@ impl RsuConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_debug_contains_all_design_parameters() {
+        // The Debug form is what experiment logs record; it must expose the
+        // four paper parameters.
+        let s = format!("{:?}", RsuConfig::new_design());
+        for needle in [
+            "energy_bits: 8",
+            "lambda_bits: 4",
+            "time_bits: 5",
+            "truncation: 0.5",
+        ] {
+            assert!(s.contains(needle), "missing {needle} in {s}");
+        }
+    }
 
     #[test]
     fn presets_match_paper() {

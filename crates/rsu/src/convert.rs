@@ -25,8 +25,6 @@
 //! annealing is stall-free — the new design; 0.46× area / 0.22× power of
 //! the LUT per the paper's synthesis).
 
-use serde::{Deserialize, Serialize};
-
 /// Width in bits of the host interface used to stream new LUT/boundary
 /// contents on a temperature update (§IV-B3 chooses 8).
 pub const UPDATE_INTERFACE_BITS: u32 = 8;
@@ -86,7 +84,7 @@ pub trait EnergyToLambda {
 /// assert_eq!(lut.multiplier_of(255), 1, "tiny probabilities floor at λ0");
 /// assert_eq!(lut.storage_bits(), 256 * 4, "the 1K-bit LUT of §IV-B3");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LutConverter {
     energy_bits: u32,
     scale: u32,
@@ -191,7 +189,7 @@ impl EnergyToLambda for LutConverter {
 /// }
 /// assert_eq!(cmp.storage_bits(), 32, "4 boundaries x 8 bits (§IV-B3)");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonConverter {
     energy_bits: u32,
     scale: u32,
@@ -341,7 +339,7 @@ impl EnergyToLambda for ComparisonConverter {
 }
 
 /// Either conversion structure, selected by the design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LambdaConverter {
     /// LUT-based (previous design).
     Lut(LutConverter),

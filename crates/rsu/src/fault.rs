@@ -16,10 +16,9 @@
 use mrf::parallel::band_rows;
 use ret_device::BleachingModel;
 use sampling::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// How a single RSU-G unit fails.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The unit's single-photon avalanche diode goes dark: no label's
     /// RET network can ever win the TTF race, so the unit is unusable
@@ -60,7 +59,7 @@ impl FaultKind {
 }
 
 /// One fault scheduled against one unit at one sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
     /// Index of the failing unit within the array.
     pub unit: usize,
@@ -103,7 +102,7 @@ impl ScheduledFault {
 }
 
 /// What the array does with the sites of a retired unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradePolicy {
     /// Reassign the unit's sites to healthy spare capacity: a stand-in
     /// unit with the same design point serves them, and the nearest
@@ -124,7 +123,7 @@ pub enum DegradePolicy {
 /// deratings, activation events — is a pure function of
 /// `(plan, iteration)`, which is what makes fault-injected runs
 /// thread-invariant and resume-safe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     policy: DegradePolicy,
     faults: Vec<ScheduledFault>,
@@ -353,7 +352,7 @@ fn band_site_table(units: usize, width: usize, height: usize) -> [Vec<u64>; 2] {
 /// [`FaultPlan::predicted_degradation`] (the two agree exactly for the
 /// band-mapped parallel sweep mode — degradation is a pure function of
 /// `(plan, iteration)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationReport {
     /// Sites served by each unit, including load absorbed from retired
     /// units under [`DegradePolicy::RemapToHealthy`] (indexed by

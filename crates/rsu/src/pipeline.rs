@@ -15,10 +15,9 @@
 
 use crate::config::{Conversion, RsuConfig};
 use ret_device::replicas_for_interference;
-use serde::{Deserialize, Serialize};
 
 /// Which microarchitecture the model describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignKind {
     /// Wang et al. 2016, as characterised by this paper.
     Previous,
@@ -38,7 +37,7 @@ pub enum DesignKind {
 /// assert_eq!(model.variable_latency_cycles(49), 7 + 48);
 /// assert_eq!(model.steady_state_cycles_per_variable(49), 49);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineModel {
     kind: DesignKind,
     config: RsuConfig,

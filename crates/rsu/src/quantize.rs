@@ -1,7 +1,5 @@
 //! Fixed-point energy quantisation (`Energy_bits`).
 
-use serde::{Deserialize, Serialize};
-
 /// Quantises floating-point MRF energies into the unsigned integer codes
 /// the RSU-G pipeline operates on.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.quantize(1000.0), 255, "clamped to the 8-bit ceiling");
 /// assert_eq!(q.quantize(-5.0), 0, "negative energies clamp to zero");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyQuantizer {
     bits: u32,
     lsb: f64,

@@ -24,10 +24,9 @@ use crate::scaling::EnergyFifo;
 use mrf::{Label, SiteSampler};
 use rand::Rng;
 use ret_device::{sample_binned_ttf, RetCalibration, RetCircuitBank};
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by an [`RsuG`] across its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RsuStats {
     /// Variables (pixels) evaluated.
     pub variable_evaluations: u64,
@@ -53,7 +52,7 @@ pub struct RsuStats {
 }
 
 /// Outcome of one first-to-fire race over λ multipliers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaceResult {
     /// Winning label index, or `None` when nothing fired (only possible
     /// when censoring is not clamped).

@@ -14,8 +14,6 @@
 //! v). [`EnergyFifo`] models that structure cycle-by-cycle, and its test
 //! suite proves the streamed result equals the batch subtraction.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle-accurate model of the energy FIFO with its two min registers.
 ///
 /// Protocol, mirroring the pipeline: push the energies of variable `v+1`
@@ -39,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(fifo.pop_scaled(), Some(6)); // 9 − 3
 /// assert_eq!(fifo.pop_scaled(), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnergyFifo {
     capacity: usize,
     queue: std::collections::VecDeque<u16>,

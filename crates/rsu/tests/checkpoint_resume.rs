@@ -5,14 +5,14 @@
 //! restore the field from the checkpoint, build a *fresh* array (same
 //! config, same fault plan) and continue at the stored iteration index.
 //! That is bit-identical because every per-sweep input is a pure
-//! function of the absolute iteration: the per-site RNG streams
-//! (parallel path), the external generator state (sequential path,
-//! stored in the checkpoint), the annealing temperature and the fault
+//! function of the absolute iteration: the per-site RNG streams, the
+//! annealing temperature and the fault
 //! state (activation and bleaching derate keyed off the iteration, not
 //! off elapsed array history).
 
 use mrf::{
-    Checkpoint, DistanceFn, FaultRecord, LabelField, MrfModel, Schedule, SweepObserver, TabularMrf,
+    Checkpoint, DistanceFn, FaultRecord, LabelField, MrfModel, NoopObserver, Schedule,
+    SweepObserver, TabularMrf,
 };
 use rand::SeedableRng;
 use rsu::{DegradePolicy, FaultKind, FaultPlan, RsuArray, RsuConfig, ScheduledFault};
@@ -67,6 +67,7 @@ fn run_parallel(
             iter as u64,
             SEED,
             threads,
+            &mut NoopObserver,
         );
     }
 }
@@ -185,7 +186,7 @@ fn fault_activations_are_emitted_exactly_once_across_a_kill_resume_boundary() {
         array.install_faults(degraded_plan());
         let mut field = initial_field(&model);
         for iter in 0..total {
-            array.sweep_parallel_observed(
+            array.sweep_parallel(
                 &model,
                 &mut field,
                 schedule().temperature(iter),
@@ -213,7 +214,7 @@ fn fault_activations_are_emitted_exactly_once_across_a_kill_resume_boundary() {
         let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
         array.install_faults(degraded_plan());
         for iter in 0..8 {
-            array.sweep_parallel_observed(
+            array.sweep_parallel(
                 &model,
                 &mut field,
                 schedule().temperature(iter),
@@ -233,7 +234,7 @@ fn fault_activations_are_emitted_exactly_once_across_a_kill_resume_boundary() {
         let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
         array.install_faults(degraded_plan());
         for iter in restored.next_iteration..total {
-            array.sweep_parallel_observed(
+            array.sweep_parallel(
                 &model,
                 &mut resumed,
                 schedule().temperature(iter),
@@ -247,59 +248,4 @@ fn fault_activations_are_emitted_exactly_once_across_a_kill_resume_boundary() {
     let mut combined = first_half.0.clone();
     combined.extend(second_half.0.iter().copied());
     assert_eq!(combined, uninterrupted.0);
-}
-
-#[test]
-fn sequential_array_kill_and_resume_matches_including_rng_consumption() {
-    let model = model();
-    let total = 18;
-    let k = 7;
-
-    let mut ref_rng = Xoshiro256pp::seed_from_u64(SEED);
-    let mut reference = LabelField::random(model.grid(), model.num_labels(), &mut ref_rng);
-    {
-        let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
-        for iter in 0..total {
-            array.sweep(
-                &model,
-                &mut reference,
-                schedule().temperature(iter),
-                &mut ref_rng,
-            );
-        }
-    }
-
-    let mut rng = Xoshiro256pp::seed_from_u64(SEED);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    {
-        let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
-        for iter in 0..k {
-            array.sweep(&model, &mut field, schedule().temperature(iter), &mut rng);
-        }
-    }
-    let checkpoint = Checkpoint::capture("rsu-array", &field, k, f64::NAN, 0, Vec::new())
-        .with_seed(SEED)
-        .with_rng_state(rng.state());
-    drop((field, rng));
-
-    let restored = Checkpoint::from_text(&checkpoint.to_text()).unwrap();
-    let mut resumed = restored.restore_field();
-    let mut resumed_rng = Xoshiro256pp::from_state(restored.rng_state.unwrap());
-    {
-        let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
-        for iter in restored.next_iteration..total {
-            array.sweep(
-                &model,
-                &mut resumed,
-                schedule().temperature(iter),
-                &mut resumed_rng,
-            );
-        }
-    }
-    assert_eq!(reference, resumed);
-    assert_eq!(
-        ref_rng.state(),
-        resumed_rng.state(),
-        "the resumed sequential chain must consume the RNG identically"
-    );
 }

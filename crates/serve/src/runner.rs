@@ -23,7 +23,7 @@ use bench::{
     annealing_schedule, segmentation_schedule, MOTION_DATA_WEIGHT, MOTION_SMOOTH_WEIGHT,
     SEGMENT_DATA_WEIGHT, SEGMENT_SMOOTH_WEIGHT, STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT,
 };
-use mrf::{Checkpoint, LabelField, MrfModel, Schedule};
+use mrf::{Checkpoint, LabelField, MrfModel, NoopObserver, Schedule};
 use rand::SeedableRng;
 use rsu::RsuArray;
 use sampling::Xoshiro256pp;
@@ -183,13 +183,37 @@ impl JobModel {
     ) {
         match self {
             JobModel::Stereo { model, .. } => {
-                array.sweep_parallel(model, field, temperature, iteration, seed, threads);
+                array.sweep_parallel(
+                    model,
+                    field,
+                    temperature,
+                    iteration,
+                    seed,
+                    threads,
+                    &mut NoopObserver,
+                );
             }
             JobModel::Motion { model, .. } => {
-                array.sweep_parallel(model, field, temperature, iteration, seed, threads);
+                array.sweep_parallel(
+                    model,
+                    field,
+                    temperature,
+                    iteration,
+                    seed,
+                    threads,
+                    &mut NoopObserver,
+                );
             }
             JobModel::Segmentation { model, .. } => {
-                array.sweep_parallel(model, field, temperature, iteration, seed, threads);
+                array.sweep_parallel(
+                    model,
+                    field,
+                    temperature,
+                    iteration,
+                    seed,
+                    threads,
+                    &mut NoopObserver,
+                );
             }
         }
     }

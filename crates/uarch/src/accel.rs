@@ -18,10 +18,8 @@
 //! and sizing sweeps — the analysis a designer would run before choosing
 //! the unit count.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorSpec {
     /// Number of RSU-G units (336 in the paper).
     pub units: u32,
@@ -56,7 +54,7 @@ impl AcceleratorSpec {
 }
 
 /// Result of simulating one full MCMC run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorReport {
     /// Total wall-clock seconds.
     pub time_s: f64,

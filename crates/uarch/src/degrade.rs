@@ -26,7 +26,6 @@
 use crate::explore::DesignPoint;
 use crate::{designs, explore, perf};
 use rsu::{DegradePolicy, FaultPlan};
-use serde::{Deserialize, Serialize};
 
 /// Nominal host power charged while the software fallback serves sites,
 /// in mW (50 W — a conservative CPU/GPU package budget; the paper's
@@ -40,7 +39,7 @@ pub const HOST_POWER_MW: f64 = 50_000.0;
 pub const CLOCK_HZ: f64 = 1.0e9;
 
 /// Cost model for one degraded array configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeModel {
     /// Units in the array.
     pub units: usize,
@@ -137,7 +136,7 @@ impl DegradeModel {
 }
 
 /// Cost of one degraded sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepCost {
     /// Wall-clock seconds: the slower of array and host.
     pub time_s: f64,
@@ -158,7 +157,7 @@ pub struct SweepCost {
 }
 
 /// Accumulated cost of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunCost {
     /// Wall-clock seconds over all sweeps.
     pub time_s: f64,
@@ -197,7 +196,7 @@ impl RunCost {
 /// A healthy [`DesignPoint`] extended with the cost of running it
 /// degraded — what `design_frontier --degraded` emits alongside the
 /// healthy frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedDesignPoint {
     /// The underlying healthy design point.
     pub point: DesignPoint,

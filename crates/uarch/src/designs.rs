@@ -2,10 +2,9 @@
 
 use crate::components;
 use crate::model::AreaPower;
-use serde::{Deserialize, Serialize};
 
 /// A named cost row, as printed in the paper's tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostRow {
     /// Component or design-point name.
     pub name: String,
@@ -14,7 +13,7 @@ pub struct CostRow {
 }
 
 /// A cost breakdown (a whole table column).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostBreakdown {
     /// The rows, in presentation order.
     pub rows: Vec<CostRow>,

@@ -14,10 +14,9 @@ use crate::components;
 use crate::model::AreaPower;
 use ret_device::replicas_for_interference;
 use rsu::{analysis, RsuConfig};
-use serde::{Deserialize, Serialize};
 
 /// One candidate operating point on the Fig. 8 plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Time precision in bits.
     pub time_bits: u32,
@@ -101,7 +100,8 @@ pub fn enumerate_parallel(
     }
     let mut points: Vec<Option<DesignPoint>> = vec![None; keys.len()];
     let chunk = keys.len().div_ceil(workers);
-    crossbeam::scope(|s| {
+    // A panicking worker propagates out of the scope.
+    std::thread::scope(|s| {
         for (keys, out) in keys.chunks(chunk).zip(points.chunks_mut(chunk)) {
             s.spawn(move || {
                 for (&(tb, tr), slot) in keys.iter().zip(out.iter_mut()) {
@@ -109,8 +109,7 @@ pub fn enumerate_parallel(
                 }
             });
         }
-    })
-    .expect("design-point synthesis worker panicked");
+    });
     points
         .into_iter()
         .map(|p| p.expect("every slot synthesised"))

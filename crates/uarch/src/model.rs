@@ -1,6 +1,5 @@
 //! The area/power accounting type.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul};
 
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul};
 /// assert_eq!(total.area_um2, 200.0);
 /// assert_eq!(total.power_mw, 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaPower {
     /// Silicon (or photonic) area in µm².
     pub area_um2: f64,

@@ -9,10 +9,9 @@
 //! int8 are slightly lower).
 
 use rsu::PipelineModel;
-use serde::{Deserialize, Serialize};
 
 /// A stereo workload shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StereoWorkload {
     /// Image width.
     pub width: u64,
@@ -55,7 +54,7 @@ impl StereoWorkload {
 pub const ITERATIONS: u64 = 100;
 
 /// GPU numeric precision of the baseline kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuPrecision {
     /// IEEE float energies and sampling.
     Float,
@@ -118,7 +117,7 @@ pub fn speedup(w: StereoWorkload, precision: GpuPrecision) -> f64 {
 }
 
 /// One row of the regenerated Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Cell {
     /// Workload shape.
     pub workload: StereoWorkload,

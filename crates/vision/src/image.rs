@@ -1,7 +1,6 @@
 //! Grayscale images with PGM I/O.
 
 use crate::error::VisionError;
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -16,7 +15,7 @@ use std::path::Path;
 /// assert_eq!(img.get(3, 1), 7.0);
 /// assert_eq!(img.width(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrayImage {
     width: usize,
     height: usize,

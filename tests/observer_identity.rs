@@ -1,5 +1,5 @@
 //! Determinism contract of the observability layer: attaching any
-//! observer — the no-op, a recording [`EnergyTrace`], or one that asks
+//! observer — the no-op, a recording `mrf::EnergyTrace`, or one that asks
 //! for per-site updates — must leave every engine's chain bit-identical
 //! to the unobserved run, including the RNG stream position for the
 //! sequential engines. Extends the PR 2 fused≡direct identity suite
@@ -7,7 +7,7 @@
 //! engines at 1, 2 and 7 host threads.
 
 use mrf::{
-    DistanceFn, EnergyTrace, Label, LabelField, MrfModel, ParallelSweepSolver, Schedule,
+    DistanceFn, Label, LabelField, MrfModel, NoopObserver, ParallelSweepSolver, Schedule,
     SoftwareGibbs, SweepObserver, SweepRecord, SweepSolver, TabularMrf,
 };
 use proptest::prelude::*;
@@ -85,7 +85,8 @@ proptest! {
             SweepSolver::new(&model)
                 .schedule(schedule)
                 .iterations(8)
-                .run_observed(field, &mut SoftwareGibbs::new(), rng, &mut recording)
+                .observer(&mut recording)
+                .run(field, &mut SoftwareGibbs::new(), rng)
         });
         prop_assert_eq!(plain_field.as_slice(), obs_field.as_slice());
         prop_assert_eq!(plain_next, obs_next, "observation changed RNG consumption");
@@ -117,11 +118,12 @@ proptest! {
                 .threads(threads)
                 .seed(seed);
             let mut plain_field = start.clone();
-            let plain_report = solver.run(&mut plain_field, &SoftwareGibbs::new());
+            let plain_report = solver.clone().run(&mut plain_field, &SoftwareGibbs::new());
             let mut obs_field = start.clone();
             let mut recording = RecordingObserver::default();
-            let obs_report =
-                solver.run_observed(&mut obs_field, &SoftwareGibbs::new(), &mut recording);
+            let obs_report = solver
+                .observer(&mut recording)
+                .run(&mut obs_field, &SoftwareGibbs::new());
             prop_assert_eq!(
                 plain_field.as_slice(), obs_field.as_slice(),
                 "observation changed the chain at {} threads", threads
@@ -165,7 +167,7 @@ proptest! {
                 let mut reports = Vec::new();
                 for iteration in 0..3u64 {
                     reports.push(array.sweep_parallel(
-                        &model, &mut field, 1.0, iteration, seed, threads,
+                        &model, &mut field, 1.0, iteration, seed, threads, &mut NoopObserver,
                     ));
                 }
                 (field, reports)
@@ -176,7 +178,7 @@ proptest! {
             let mut recording = RecordingObserver::default();
             let mut obs_reports = Vec::new();
             for iteration in 0..3u64 {
-                obs_reports.push(array.sweep_parallel_observed(
+                obs_reports.push(array.sweep_parallel(
                     &model, &mut obs_field, 1.0, iteration, seed, threads, &mut recording,
                 ));
             }
@@ -195,43 +197,5 @@ proptest! {
                 ),
             }
         }
-    }
-
-    /// RSU array, sequential path: the observed sweep consumes exactly
-    /// as much randomness as the unobserved one and produces the same
-    /// field, and its incrementally-tracked energy matches a fresh
-    /// total-energy evaluation of the final field.
-    #[test]
-    fn rsu_sequential_sweep_observation_preserves_rng_consumption(
-        model in arb_model(),
-        seed in any::<u64>(),
-    ) {
-        let mut init_rng = Xoshiro256pp::seed_from_u64(seed);
-        let start = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
-        let run = |observe: bool| {
-            let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-            let mut field = start.clone();
-            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5eed);
-            let mut trace = EnergyTrace::new();
-            for iteration in 0..3usize {
-                if observe {
-                    array.sweep_observed(&model, &mut field, 1.2, iteration, &mut rng, &mut trace);
-                } else {
-                    array.sweep(&model, &mut field, 1.2, &mut rng);
-                }
-            }
-            (field, rng.next_u64(), trace)
-        };
-        let (plain_field, plain_next, _) = run(false);
-        let (obs_field, obs_next, trace) = run(true);
-        prop_assert_eq!(plain_field.as_slice(), obs_field.as_slice());
-        prop_assert_eq!(plain_next, obs_next, "observation changed RNG consumption");
-        prop_assert_eq!(trace.len(), 3);
-        let final_energy = trace.records().last().unwrap().energy;
-        let true_energy = mrf::total_energy(&model, &obs_field);
-        prop_assert!(
-            (final_energy - true_energy).abs() < 1e-6 * true_energy.abs().max(1.0),
-            "incremental energy {} diverged from total {}", final_energy, true_energy
-        );
     }
 }

@@ -79,7 +79,7 @@ fn cost_models_are_deterministic_and_serialisable() {
     let a = designs::table4();
     let b = designs::table4();
     assert_eq!(a, b);
-    // serde round trip (the tables feed the CSV artifacts).
+    // The tables feed the CSV artifacts: their numbers must render stably.
     let json = serde_json_like(&a.rows[0].cost.area_um2);
     assert!(json.contains("2903") || json.contains("2902"), "{json}");
 }

@@ -31,11 +31,13 @@
 //! no run claims fails the driver after its last run
 //! ([`RunPlan::finish`]).
 //!
-//! A checkpoint shows which engine wrote it: raster checkpoints carry
-//! the sequential generator's state words, checkerboard ones do not.
-//! Resuming a label under a plan that routes it to the other engine
-//! would continue neither chain, so it is refused with
-//! [`CheckpointError::EngineMismatch`].
+//! A checkpoint shows how its chain was scheduled: raster checkpoints
+//! carry the sequential generator's state words, checkerboard ones do
+//! not, and a checkerboard checkpoint records its numeric policy and,
+//! under `--active`, the active-site worklist. Resuming a label under a
+//! plan that schedules it differently — on the other engine, or with
+//! another `--numeric` or `--active` setting — would continue neither
+//! chain, so it is refused with [`CheckpointError::EngineMismatch`].
 //!
 //! # Determinism contract
 //!
@@ -55,7 +57,7 @@ use mrf::{
 use rand::SeedableRng;
 use rsu::RsuArray;
 use sampling::Xoshiro256pp;
-use std::fmt::Display;
+use std::fmt::{self, Display};
 use std::path::PathBuf;
 
 /// The flags of [`RunPlan::from_args`], in usage-line form.
@@ -226,11 +228,55 @@ pub fn exit_usage<T>(message: impl Display) -> T {
     std::process::exit(2)
 }
 
-/// Which engine a chain runs on (see the [module docs](self)).
+/// Which engine a chain runs on, and how (see the [module docs](self)):
+/// what a checkpoint records and a resume must match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
     Raster,
-    Checkerboard,
+    Checkerboard {
+        numeric: NumericPolicy,
+        active: bool,
+    },
+}
+
+impl Engine {
+    /// How the chain that wrote `checkpoint` was scheduled.
+    fn of(checkpoint: &Checkpoint) -> Engine {
+        match checkpoint.rng_state {
+            Some(_) => Engine::Raster,
+            None => Engine::Checkerboard {
+                numeric: checkpoint.numeric,
+                active: checkpoint.active_sites.is_some(),
+            },
+        }
+    }
+
+    fn numeric(self) -> NumericPolicy {
+        match self {
+            Engine::Raster => NumericPolicy::Exact,
+            Engine::Checkerboard { numeric, .. } => numeric,
+        }
+    }
+}
+
+impl Display for Engine {
+    /// The engine, plus the flags that select a non-default checkerboard
+    /// schedule.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Engine::Raster => f.write_str("raster"),
+            Engine::Checkerboard { numeric, active } => {
+                f.write_str("checkerboard")?;
+                if numeric != NumericPolicy::Exact {
+                    write!(f, " --numeric {numeric}")?;
+                }
+                if active {
+                    f.write_str(" --active")?;
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
 impl RunPlan {
@@ -280,7 +326,10 @@ impl RunPlan {
         if self.threads <= 1 && self.numeric == NumericPolicy::Exact && !self.active {
             Engine::Raster
         } else {
-            Engine::Checkerboard
+            Engine::Checkerboard {
+                numeric: self.numeric,
+                active: self.active,
+            }
         }
     }
 
@@ -306,16 +355,15 @@ impl RunPlan {
         O: SweepObserver,
     {
         let engine = self.engine();
-        let (threads, numeric, active) = (self.threads, self.numeric, self.active);
+        let threads = self.threads;
         let mut sampler = sampler.sampler();
-        let (mut field, state, mut rng) = self.start(model, seed, label, engine)?;
         self.chunked(
+            model,
             label,
             seed,
+            engine,
             iterations,
-            &mut field,
-            state,
-            |field, state, end| match engine {
+            |field, state, end, rng| match engine {
                 Engine::Raster => {
                     let mut solver = SweepSolver::new(model)
                         .schedule(schedule)
@@ -324,10 +372,10 @@ impl RunPlan {
                     if let Some(state) = state {
                         solver = solver.resume(state);
                     }
-                    let report = solver.run(field, &mut sampler, &mut rng);
+                    let report = solver.run(field, &mut sampler, rng);
                     (report, Some(rng.state()))
                 }
-                Engine::Checkerboard => {
+                Engine::Checkerboard { numeric, active } => {
                     let mut solver = ParallelSweepSolver::new(model)
                         .schedule(schedule)
                         .iterations(end)
@@ -342,8 +390,7 @@ impl RunPlan {
                     (solver.run(field, &sampler), None)
                 }
             },
-        );
-        Ok(field)
+        )
     }
 
     /// Runs a chain on an [`RsuArray`] (possibly fault-injected) on the
@@ -368,14 +415,18 @@ impl RunPlan {
         label: &str,
     ) -> Result<LabelField, CheckpointError> {
         let threads = self.threads;
-        let (mut field, state, _) = self.start(model, seed, label, Engine::Checkerboard)?;
+        // Array sweeps have no f32 kernel and no active set.
+        let engine = Engine::Checkerboard {
+            numeric: NumericPolicy::Exact,
+            active: false,
+        };
         self.chunked(
+            model,
             label,
             seed,
+            engine,
             iterations,
-            &mut field,
-            state,
-            |field, state, end| {
+            |field, state, end, _| {
                 let start = state.map_or(0, |s| s.start_iteration);
                 for iter in start..end {
                     let temperature = schedule.temperature(iter);
@@ -398,13 +449,14 @@ impl RunPlan {
                 };
                 (report, None)
             },
-        );
-        Ok(field)
+        )
     }
 
     /// Claims the `--resume` checkpoint if it belongs to the run `label`;
     /// runs with other labels leave it in place (they recompute from
-    /// scratch until the interrupted run comes up in driver order).
+    /// scratch until the interrupted run comes up in driver order). A
+    /// claimed checkpoint whose chain was scheduled otherwise than
+    /// `engine` is refused.
     fn take_resume(
         &mut self,
         label: &str,
@@ -414,64 +466,56 @@ impl RunPlan {
             return Ok(None);
         }
         let checkpoint = self.resume.take().expect("the label matched");
-        let written_by = match checkpoint.rng_state {
-            Some(_) => Engine::Raster,
-            None => Engine::Checkerboard,
-        };
+        let written_by = Engine::of(&checkpoint);
         if written_by != engine {
-            let name = |engine| match engine {
-                Engine::Raster => "raster",
-                Engine::Checkerboard => "checkerboard",
-            };
             return Err(CheckpointError::EngineMismatch {
-                expected: name(engine).to_string(),
-                found: name(written_by).to_string(),
+                expected: engine.to_string(),
+                found: written_by.to_string(),
             });
         }
         Ok(Some(checkpoint))
     }
 
-    /// The start of chain `label`: the claimed checkpoint's field and
-    /// progress, or the random field drawn from the chain seed's stream
-    /// (which a raster chain goes on drawing from).
-    fn start<M: MrfModel>(
+    /// Runs chain `label` on `engine` to `iterations` in
+    /// checkpoint-interval chunks and returns the final field. The chain
+    /// starts from the claimed checkpoint's field and progress, or from
+    /// the random field drawn from the chain seed's stream (which a
+    /// raster chain goes on drawing from). `chunk(field, state, end,
+    /// rng)` continues the chain from `state` to sweep `end` and returns
+    /// its report plus, on the raster engine, the generator's state
+    /// words. A checkpoint is written after every chunk, the last one
+    /// included.
+    fn chunked<M, F>(
         &mut self,
         model: &M,
-        seed: u64,
         label: &str,
+        seed: u64,
         engine: Engine,
-    ) -> Result<(LabelField, Option<ResumeState>, Xoshiro256pp), CheckpointError> {
+        iterations: usize,
+        mut chunk: F,
+    ) -> Result<LabelField, CheckpointError>
+    where
+        M: MrfModel,
+        F: FnMut(
+            &mut LabelField,
+            Option<ResumeState>,
+            usize,
+            &mut Xoshiro256pp,
+        ) -> (SolveReport, Option<[u64; 4]>),
+    {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        Ok(match self.take_resume(label, engine)? {
+        let (mut field, mut state) = match self.take_resume(label, engine)? {
             Some(cp) => {
                 if let Some(words) = cp.rng_state {
                     rng = Xoshiro256pp::from_state(words);
                 }
-                (cp.restore_field(), Some(cp.resume_state()), rng)
+                (cp.restore_field(), Some(cp.resume_state()))
             }
             None => {
                 let field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-                (field, None, rng)
+                (field, None)
             }
-        })
-    }
-
-    /// Runs chain `label` to `iterations` in checkpoint-interval chunks:
-    /// `chunk(field, state, end)` continues the chain from `state` to
-    /// sweep `end` and returns its report plus, on the raster engine,
-    /// the generator's state words. A checkpoint is written after every
-    /// chunk, the last one included.
-    fn chunked<F>(
-        &mut self,
-        label: &str,
-        seed: u64,
-        iterations: usize,
-        field: &mut LabelField,
-        mut state: Option<ResumeState>,
-        mut chunk: F,
-    ) where
-        F: FnMut(&mut LabelField, Option<ResumeState>, usize) -> (SolveReport, Option<[u64; 4]>),
-    {
+        };
         loop {
             let start = state.as_ref().map_or(0, |s| s.start_iteration);
             let end = match self.checkpoint_every {
@@ -479,17 +523,18 @@ impl RunPlan {
                 None => iterations,
             }
             .max(start);
-            let (report, rng_state) = chunk(field, state.take(), end);
+            let (report, rng_state) = chunk(&mut field, state.take(), end, &mut rng);
             if self.checkpoint_every.is_some() {
                 let mut cp = Checkpoint::capture(
                     label,
-                    field,
+                    &field,
                     report.iterations_run,
                     report.final_energy(),
                     report.labels_changed,
                     report.energy_history.clone(),
                 )
-                .with_seed(seed);
+                .with_seed(seed)
+                .with_numeric(engine.numeric());
                 if let Some(words) = rng_state {
                     cp = cp.with_rng_state(words);
                 }
@@ -506,7 +551,7 @@ impl RunPlan {
                 }
             }
             if report.iterations_run >= iterations {
-                break;
+                return Ok(field);
             }
             state = Some(ResumeState {
                 start_iteration: report.iterations_run,
@@ -670,9 +715,11 @@ mod tests {
         assert_eq!(plan.pending_resume(), Some("fig/x"));
         assert!(plan.finish().is_err());
         let claim = |plan: &mut RunPlan, label| {
-            plan.take_resume(label, Engine::Checkerboard)
-                .unwrap()
-                .is_some()
+            let engine = Engine::Checkerboard {
+                numeric: NumericPolicy::Exact,
+                active: false,
+            };
+            plan.take_resume(label, engine).unwrap().is_some()
         };
         assert!(!claim(&mut plan, "fig/other"));
         assert!(claim(&mut plan, "fig/x"));
@@ -785,6 +832,57 @@ mod tests {
         }
         std::fs::remove_file(&raster.checkpoint_path).ok();
         std::fs::remove_file(&checkerboard.checkpoint_path).ok();
+    }
+
+    #[test]
+    fn resume_under_other_numeric_or_active_flags_is_refused() {
+        let (exact, fast) = (NumericPolicy::Exact, NumericPolicy::Fast);
+        // (written with, resumed with), each as (numeric, active): both
+        // directions of both flags.
+        let cases = [
+            ((exact, true), (exact, false)),
+            ((exact, false), (exact, true)),
+            ((fast, false), (exact, false)),
+            ((exact, false), (fast, false)),
+        ];
+        for (index, ((kill_numeric, kill_active), (numeric, active))) in
+            cases.into_iter().enumerate()
+        {
+            let mut killed = RunPlan {
+                numeric: kill_numeric,
+                active: kill_active,
+                ..plan(2, Some(10), &format!("scheduling-{index}.ckpt"))
+            };
+            run(&mut killed, 10, "t/s");
+            let mut resumed = RunPlan {
+                numeric,
+                active,
+                resume: Some(Checkpoint::load(&killed.checkpoint_path).unwrap()),
+                ..plan(2, None, "")
+            };
+            let refused = resumed
+                .run(
+                    &model(),
+                    &SamplerKind::Software,
+                    schedule(),
+                    30,
+                    11,
+                    "t/s",
+                    &mut NoopObserver,
+                )
+                .unwrap_err();
+            let name = |numeric, active| Engine::Checkerboard { numeric, active }.to_string();
+            assert!(
+                matches!(
+                    &refused,
+                    CheckpointError::EngineMismatch { expected, found }
+                        if *expected == name(numeric, active)
+                            && *found == name(kill_numeric, kill_active)
+                ),
+                "case {index}: {refused}"
+            );
+            std::fs::remove_file(&killed.checkpoint_path).ok();
+        }
     }
 
     #[test]

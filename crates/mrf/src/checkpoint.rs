@@ -52,19 +52,23 @@
 //! rng none | rng <4 × 16-hex u64 words>
 //! history <len> <16-hex f64 bits>...
 //! field <len> <label>...
+//! numeric fast                        (optional)
 //! active <len> <0/1 bitstring>        (optional)
 //! end
 //! ```
 //!
+//! The `numeric` line is optional and records a chain run on the f32
+//! kernel ([`NumericPolicy::Fast`]); without it the chain ran exact.
 //! The `active` line is optional and carries the active-site worklist
 //! of a run using active-site scheduling
 //! ([`SweepSolver::active_sites`](crate::SweepSolver::active_sites)):
 //! the row-major visit mask of the *next* sweep. Checkpoints without
-//! the line (all pre-existing ones) parse exactly as before.
+//! either line (all pre-existing ones) parse exactly as before.
 
 use crate::field::LabelField;
 use crate::grid::Grid;
 use crate::model::Label;
+use crate::solver::NumericPolicy;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -190,6 +194,8 @@ pub struct Checkpoint {
     pub rng_state: Option<[u64; 4]>,
     /// The label field in row-major order.
     pub labels: Vec<Label>,
+    /// Site-kernel precision the chain ran with.
+    pub numeric: NumericPolicy,
     /// Active-site worklist of the next sweep (row-major), when the
     /// checkpointed run used active-site scheduling.
     pub active_sites: Option<Vec<bool>>,
@@ -220,6 +226,7 @@ impl Checkpoint {
             seed: 0,
             rng_state: None,
             labels: field.as_slice().to_vec(),
+            numeric: NumericPolicy::Exact,
             active_sites: None,
         }
     }
@@ -234,6 +241,12 @@ impl Checkpoint {
     /// ([`sampling::Xoshiro256pp::state`]).
     pub fn with_rng_state(mut self, state: [u64; 4]) -> Self {
         self.rng_state = Some(state);
+        self
+    }
+
+    /// Records the site-kernel precision the chain ran with.
+    pub fn with_numeric(mut self, numeric: NumericPolicy) -> Self {
+        self.numeric = numeric;
         self
     }
 
@@ -324,6 +337,9 @@ impl Checkpoint {
             let _ = write!(out, " {l}");
         }
         out.push('\n');
+        if self.numeric != NumericPolicy::Exact {
+            let _ = writeln!(out, "numeric {}", self.numeric);
+        }
         if let Some(mask) = &self.active_sites {
             let _ = write!(out, "active {} ", mask.len());
             out.extend(mask.iter().map(|&b| if b { '1' } else { '0' }));
@@ -440,9 +456,14 @@ impl Checkpoint {
             ));
         }
 
-        // Optional `active` line (absent in every pre-worklist
-        // checkpoint), then `end`.
+        // Optional `numeric` and `active` lines (absent in older
+        // checkpoints), then `end`.
         let (mut ln, mut line) = next("end")?;
+        let mut numeric = NumericPolicy::Exact;
+        if let Some(body) = line.strip_prefix("numeric ") {
+            numeric = body.trim().parse().map_err(|e| malformed(ln, e))?;
+            (ln, line) = next("end")?;
+        }
         let mut active_sites = None;
         if let Some(body) = line.strip_prefix("active ") {
             let mut words = body.split_whitespace();
@@ -503,6 +524,7 @@ impl Checkpoint {
             seed,
             rng_state,
             labels,
+            numeric,
             active_sites,
         })
     }
@@ -709,6 +731,27 @@ mod tests {
         let back = Checkpoint::from_text(&text).unwrap();
         assert_eq!(back, ck);
         assert_eq!(back.resume_state().active_sites, Some(mask));
+    }
+
+    #[test]
+    fn numeric_policy_round_trips_and_defaults_to_exact() {
+        let exact = sample_checkpoint();
+        assert!(!exact.to_text().contains("numeric"), "exact writes no line");
+        assert_eq!(
+            Checkpoint::from_text(&exact.to_text()).unwrap().numeric,
+            NumericPolicy::Exact
+        );
+        let fast = sample_checkpoint()
+            .with_numeric(NumericPolicy::Fast)
+            .with_active_sites(vec![true; 6]);
+        let text = fast.to_text();
+        assert!(text.contains("numeric fast\nactive 6 111111\nend\n"));
+        assert_eq!(Checkpoint::from_text(&text).unwrap(), fast);
+        let bad = text.replace("numeric fast", "numeric f16");
+        assert!(matches!(
+            Checkpoint::from_text(&bad),
+            Err(CheckpointError::Malformed { .. })
+        ));
     }
 
     #[test]

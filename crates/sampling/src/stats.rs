@@ -279,8 +279,8 @@ mod tests {
     #[test]
     fn gamma_p_matches_known_values() {
         // P(1, x) = 1 − e^{−x} (chi-square with 2 df).
-        for x in [0.1, 1.0, 3.0, 10.0] {
-            let expected = 1.0 - (-x as f64).exp();
+        for x in [0.1f64, 1.0, 3.0, 10.0] {
+            let expected = 1.0 - (-x).exp();
             assert!(
                 (regularized_gamma_p(1.0, x) - expected).abs() < 1e-10,
                 "x={x}"

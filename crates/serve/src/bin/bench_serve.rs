@@ -125,10 +125,8 @@ fn preemption_demo(trace_path: PathBuf) -> PreemptionDemo {
     };
     let handle = serve(ServerConfig {
         workers: 1,
-        array_units: 8,
         quantum: 1_000,
         cache_capacity: 256,
-        scene_batch: 4,
         spool_dir: None,
         trace_path: Some(trace_path.clone()),
         limits: QueueLimits::unbounded(),
@@ -217,10 +215,8 @@ fn traffic_spec(i: usize) -> JobSpec {
 fn server(workers: usize, quantum: usize, limits: QueueLimits) -> ServerConfig {
     ServerConfig {
         workers,
-        array_units: 8,
         quantum,
         cache_capacity: 256,
-        scene_batch: 4,
         spool_dir: None,
         trace_path: None,
         limits,

@@ -93,10 +93,8 @@ fn mixed_batch() -> Vec<JobSpec> {
 fn run_scenario(trace: PathBuf, spool: PathBuf) -> ServeOutcome {
     let handle = serve(ServerConfig {
         workers: 1,
-        array_units: 8,
         quantum: 1_000, // only preemption may interleave jobs
         cache_capacity: 256,
-        scene_batch: 4,
         spool_dir: Some(spool),
         trace_path: Some(trace),
         limits: QueueLimits::unbounded(),
@@ -225,10 +223,8 @@ fn main() {
     };
     let config = |cache_capacity: usize| ServerConfig {
         workers: 1,
-        array_units: 8,
         quantum: 1_000,
         cache_capacity,
-        scene_batch: 4,
         spool_dir: None,
         trace_path: None,
         limits: QueueLimits::unbounded(),
@@ -281,10 +277,8 @@ fn main() {
     // and waits on unknown/rejected ids must resolve, not hang.
     let gate = serve(ServerConfig {
         workers: 1,
-        array_units: 8,
         quantum: 1_000,
         cache_capacity: 0, // no cache: the overflow must hit admission
-        scene_batch: 4,
         spool_dir: None,
         trace_path: None,
         limits: QueueLimits {

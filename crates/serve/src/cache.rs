@@ -34,60 +34,47 @@ pub struct CachedResult {
     pub iterations: usize,
 }
 
-/// A bounded LRU map from [`JobSpec::digest`] to [`CachedResult`].
+/// A bounded map keyed by a 64-bit digest with least-recently-used
+/// eviction — the one eviction policy both digest-keyed caches (the
+/// [`ResultCache`] and the worker's
+/// [`SceneModelCache`](crate::SceneModelCache)) share.
+///
+/// Each hit and each insert stamps its entry with a fresh logical tick,
+/// and an insert of a new key into a full map evicts the smallest
+/// stamp. Zero capacity holds nothing: every lookup misses.
 #[derive(Debug)]
-pub struct ResultCache {
+pub(crate) struct Lru<V> {
     capacity: usize,
     tick: u64,
-    entries: HashMap<u64, (CachedResult, u64)>,
-    hits: u64,
-    misses: u64,
+    entries: HashMap<u64, (V, u64)>,
 }
 
-impl ResultCache {
-    /// A cache holding at most `capacity` results; zero disables
-    /// caching entirely (every lookup misses, nothing is stored).
-    pub fn new(capacity: usize) -> Self {
-        ResultCache {
+impl<V> Lru<V> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Lru {
             capacity,
             tick: 0,
             entries: HashMap::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Looks up a spec's digest, refreshing its recency on a hit and
-    /// recording the hit/miss in the counters.
-    pub fn lookup(&mut self, spec: &JobSpec) -> Option<CachedResult> {
-        if self.capacity == 0 {
-            self.misses += 1;
-            return None;
-        }
+    /// The value under `key`, refreshing its recency.
+    pub(crate) fn get(&mut self, key: u64) -> Option<&V> {
         self.tick += 1;
-        match self.entries.get_mut(&spec.digest()) {
-            Some((result, stamp)) => {
-                *stamp = self.tick;
-                self.hits += 1;
-                Some(result.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (value, stamp) = self.entries.get_mut(&key)?;
+        *stamp = self.tick;
+        Some(value)
     }
 
-    /// Stores a completed job's result under `digest`, evicting the
-    /// least-recently-used entry when full. Re-inserting an existing
-    /// digest refreshes its recency (the payload is identical by
-    /// determinism, so which copy survives is immaterial).
-    pub fn insert(&mut self, digest: u64, result: CachedResult) {
+    /// Stores `value` under `key`, evicting the least-recently-used
+    /// entry when a new key meets a full map. Re-inserting a held key
+    /// replaces its value and refreshes its recency.
+    pub(crate) fn insert(&mut self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&digest) {
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             if let Some(&oldest) = self
                 .entries
                 .iter()
@@ -97,7 +84,50 @@ impl ResultCache {
                 self.entries.remove(&oldest);
             }
         }
-        self.entries.insert(digest, (result, self.tick));
+        self.entries.insert(key, (value, self.tick));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// A bounded LRU map from [`JobSpec::digest`] to [`CachedResult`].
+#[derive(Debug)]
+pub struct ResultCache {
+    entries: Lru<CachedResult>,
+    hits: u64,
+    misses: u64,
+}
+
+impl ResultCache {
+    /// A cache holding at most `capacity` results; zero disables
+    /// caching entirely (every lookup misses, nothing is stored).
+    pub fn new(capacity: usize) -> Self {
+        ResultCache {
+            entries: Lru::new(capacity),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Looks up a spec's digest, refreshing its recency on a hit and
+    /// recording the hit/miss in the counters.
+    pub fn lookup(&mut self, spec: &JobSpec) -> Option<CachedResult> {
+        let hit = self.entries.get(spec.digest()).cloned();
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+
+    /// Stores a completed job's result under `digest`, evicting the
+    /// least-recently-used entry when full. Re-inserting an existing
+    /// digest refreshes its recency (the payload is identical by
+    /// determinism, so which copy survives is immaterial).
+    pub fn insert(&mut self, digest: u64, result: CachedResult) {
+        self.entries.insert(digest, result);
     }
 
     /// Entries currently held.
@@ -107,7 +137,7 @@ impl ResultCache {
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// `(hits, misses)` since construction.

@@ -21,14 +21,15 @@
 //!   deterministically under overload (batch before interactive,
 //!   most-served tenants and costliest jobs first), surfaced as a
 //!   terminal `rejected` lifecycle event.
-//! * **Serving** ([`server`]) — a scheduler thread packs jobs onto
-//!   worker threads in sweep-quantum slices; interactive arrivals
-//!   preempt batch slices via a flag polled at sweep boundaries, with
-//!   checkpoints optionally spooled durably to disk.
+//! * **Serving** ([`server`]) — a scheduler thread hands each free
+//!   worker thread the best queued job for one sweep quantum;
+//!   interactive arrivals preempt batch slices via a flag polled at
+//!   sweep boundaries, with checkpoints optionally spooled durably to
+//!   disk.
 //! * **Caching** ([`cache`]) — determinism turned into capacity: a
 //!   digest-keyed [`ResultCache`] answers duplicate specs at admission
-//!   without touching a worker, and dispatch groups same-scene jobs so
-//!   a worker builds each scene's model once ([`SceneModelCache`]).
+//!   without touching a worker, and each worker keeps its recently built
+//!   scene models ([`SceneModelCache`]) so same-scene jobs build once.
 //! * **Observability** ([`events`]) — every lifecycle transition
 //!   (submitted → admitted → started → preempted → resumed →
 //!   completed/failed) is a typed [`JobEvent`] streamed as a `"job"`

@@ -18,6 +18,7 @@
 //! bit-identical however many times the job was preempted, wherever it
 //! resumed, and at every host thread count.
 
+use crate::cache::Lru;
 use crate::spec::{field_digest, JobKind, JobSpec, SpecError};
 use bench::{
     annealing_schedule, segmentation_schedule, MOTION_DATA_WEIGHT, MOTION_SMOOTH_WEIGHT,
@@ -28,7 +29,6 @@ use rand::SeedableRng;
 use rsu::RsuArray;
 use sampling::Xoshiro256pp;
 use scenes::{FlowSpec, SegmentationSpec, StereoSpec};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use vision::{
@@ -242,16 +242,14 @@ impl JobModel {
 ///
 /// Jobs sharing a scene digest are the same model and dataset by
 /// construction (both are pure functions of `application` + `scene`),
-/// so a worker that is handed a same-scene co-dispatch group — or the
-/// same job again after a quantum requeue — reuses the built
-/// [`MrfModel`] instead of regenerating the scene and rebuilding the
-/// energy tables per slice. Models are immutable during sweeps, so
-/// sharing one behind an `Rc` cannot change what any chain computes;
-/// eviction is least-recently-used over a small capacity.
+/// so a worker handed a same-scene job — or the same job again after a
+/// quantum requeue — reuses the built [`MrfModel`] instead of
+/// regenerating the scene and rebuilding the energy tables per slice.
+/// Models are immutable during sweeps, so sharing one behind an `Rc`
+/// cannot change what any chain computes; eviction is
+/// least-recently-used over a small capacity.
 pub struct SceneModelCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<u64, (Rc<JobModel>, u64)>,
+    models: Lru<Rc<JobModel>>,
     builds: u64,
 }
 
@@ -260,43 +258,25 @@ impl SceneModelCache {
     /// reuse: every materialization builds).
     pub fn new(capacity: usize) -> Self {
         SceneModelCache {
-            capacity,
-            tick: 0,
-            entries: HashMap::new(),
+            models: Lru::new(capacity),
             builds: 0,
         }
     }
 
-    /// Models built since construction — dispatch-group batching exists
-    /// to keep this counter below the job count.
+    /// Models built since construction — the cache exists to keep this
+    /// counter below the number of materialized slices.
     pub fn builds(&self) -> u64 {
         self.builds
     }
 
     fn get_or_build(&mut self, spec: &JobSpec) -> Result<Rc<JobModel>, SpecError> {
-        if self.capacity == 0 {
-            self.builds += 1;
-            return Ok(Rc::new(JobModel::build(spec)?));
-        }
-        self.tick += 1;
         let key = spec.scene_digest();
-        if let Some((model, stamp)) = self.entries.get_mut(&key) {
-            *stamp = self.tick;
+        if let Some(model) = self.models.get(key) {
             return Ok(Rc::clone(model));
         }
         self.builds += 1;
         let model = Rc::new(JobModel::build(spec)?);
-        if self.entries.len() >= self.capacity {
-            if let Some(&oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(key, _)| key)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert(key, (Rc::clone(&model), self.tick));
+        self.models.insert(key, Rc::clone(&model));
         Ok(model)
     }
 }
@@ -337,7 +317,7 @@ impl JobTask {
     }
 
     /// [`start`](Self::start), but resolving the model through a
-    /// worker-local [`SceneModelCache`] so a same-scene group builds it
+    /// worker-local [`SceneModelCache`] so same-scene jobs build it
     /// once. Cached and uncached materialization run the same chain —
     /// the model is a pure function of the spec either way.
     pub fn start_cached(spec: JobSpec, models: &mut SceneModelCache) -> Result<Self, SpecError> {

@@ -52,8 +52,7 @@ use std::path::PathBuf;
 /// count (they complete at admission without consuming a worker).
 ///
 /// A limit of zero is treated as one: a queue that can hold nothing
-/// could never serve, and a blocking submit against it would park
-/// forever.
+/// could never serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueLimits {
     /// Maximum live interactive jobs.
@@ -166,9 +165,6 @@ pub struct Pending {
     /// [`JobSpec::digest`], computed once at admission (the result
     /// cache key the completion will be stored under).
     pub digest: u64,
-    /// [`JobSpec::scene_digest`], computed once at admission (the
-    /// same-scene co-dispatch group key).
-    pub scene_digest: u64,
     /// [`JobSpec::cost_estimate`] (`iterations × sites`), computed once
     /// at admission — the shed policy evicts expensive work first.
     pub cost: u64,
@@ -200,12 +196,10 @@ impl Pending {
     /// A fresh entry for a just-admitted spec.
     pub fn new(spec: JobSpec, submit_index: u64, submit_t_ms: f64) -> Self {
         let digest = spec.digest();
-        let scene_digest = spec.scene_digest();
         let cost = spec.cost_estimate();
         Pending {
             spec,
             digest,
-            scene_digest,
             cost,
             resume: ResumeFrom::Fresh,
             started: false,
@@ -315,8 +309,7 @@ impl AdmissionQueue {
     }
 
     /// Whether `admit_bounded` would shed `spec` right now, without
-    /// changing any state — the backpressure probe: a blocking submit
-    /// parks instead of shedding when this returns a reason.
+    /// changing any state.
     pub fn would_shed(&self, spec: &JobSpec, limits: &QueueLimits) -> Option<ShedReason> {
         let tenant_cap = limits.max_per_tenant.max(1);
         if self.live_for_tenant(&spec.tenant) >= tenant_cap {
@@ -442,22 +435,6 @@ impl AdmissionQueue {
             .map(|(i, _)| i)?;
         Some(self.entries.swap_remove(best))
     }
-
-    /// Removes and returns the best queued entry whose scene digest and
-    /// priority class match — the co-dispatch companion selector.
-    /// Within the matching set the order is the same fair-share order
-    /// `pop_next` would use, so batching reorders *across* scenes, not
-    /// within the group.
-    pub fn pop_matching(&mut self, scene_digest: u64, priority: Priority) -> Option<Pending> {
-        let best = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.scene_digest == scene_digest && e.spec.priority == priority)
-            .min_by_key(|(_, e)| (e.served_cache, e.submit_index))
-            .map(|(i, _)| i)?;
-        Some(self.entries.swap_remove(best))
-    }
 }
 
 #[cfg(test)]
@@ -466,10 +443,6 @@ mod tests {
     use crate::spec::JobKind;
 
     fn spec(id: &str, tenant: &str, priority: Priority) -> JobSpec {
-        spec_with_scene(id, tenant, priority, 1)
-    }
-
-    fn spec_with_scene(id: &str, tenant: &str, priority: Priority, scene_seed: u64) -> JobSpec {
         JobSpec {
             id: id.into(),
             tenant: tenant.into(),
@@ -483,7 +456,7 @@ mod tests {
                 num_regions: 3,
                 noise_sigma: 2.0,
                 contrast: 90.0,
-                scene_seed,
+                scene_seed: 1,
             },
         }
     }
@@ -605,39 +578,6 @@ mod tests {
         assert_eq!(queue.ledger_len(), 2, "only live tenants remain");
         queue.credit("x", 5);
         assert_eq!(drain_ids(queue), ["y1", "x1"]);
-    }
-
-    #[test]
-    fn pop_matching_takes_same_scene_same_class_in_fair_order() {
-        let mut queue = AdmissionQueue::new();
-        let jobs = [
-            ("s1-a", "a", Priority::Batch, 1),
-            ("s2-b", "b", Priority::Batch, 2),
-            ("s1-b", "b", Priority::Batch, 1),
-            ("s1-i", "c", Priority::Interactive, 1),
-            ("s1-a2", "a", Priority::Batch, 1),
-        ];
-        for (index, (id, tenant, priority, scene)) in jobs.iter().enumerate() {
-            queue.admit(tenant, *priority);
-            queue.push(Pending::new(
-                spec_with_scene(id, tenant, *priority, *scene),
-                index as u64,
-                index as f64,
-            ));
-        }
-        let head = queue.pop_next();
-        // Interactive outranks every batch entry.
-        assert_eq!(head.as_ref().unwrap().spec.id, "s1-i");
-        // Batch companions for scene 1 only — never the interactive
-        // class, never scene 2 — in (served, FIFO) order.
-        let scene = spec_with_scene("probe", "p", Priority::Batch, 1).scene_digest();
-        queue.credit("a", 100);
-        let ids: Vec<String> = std::iter::from_fn(|| queue.pop_matching(scene, Priority::Batch))
-            .map(|e| e.spec.id)
-            .collect();
-        assert_eq!(ids, ["s1-b", "s1-a", "s1-a2"]);
-        // Scene 2 remains queued.
-        assert_eq!(drain_ids(queue), ["s2-b"]);
     }
 
     fn costly_spec(id: &str, tenant: &str, priority: Priority, iterations: usize) -> JobSpec {

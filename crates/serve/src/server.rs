@@ -12,16 +12,17 @@
 //!                           └─ JSONL "job" event stream
 //! ```
 //!
-//! Execution is sliced: a dispatch hands a worker at most
-//! [`ServerConfig::quantum`] sweeps per job. Quantum expiry requeues the
-//! job silently (it is still logically running); raising the slice's
-//! preempt flag makes the worker yield at the next sweep boundary, the
-//! job's state round-trips through the v1 checkpoint format (spooled
-//! durably to disk when [`ServerConfig::spool_dir`] is set) and a
-//! higher-priority job takes the array. Because chains are pure
-//! functions of `(seed, iteration, site)` and models are pure functions
-//! of the spec, results are bit-identical whatever the interleaving —
-//! scheduling affects *when*, never *what*.
+//! Execution is sliced: a dispatch hands a free worker the queue's best
+//! job for at most [`ServerConfig::quantum`] sweeps. Quantum expiry
+//! requeues the job silently (it is still logically running); raising
+//! the slice's preempt flag makes the worker yield at the next sweep
+//! boundary, the job's state round-trips through the v1 checkpoint
+//! format (spooled durably to disk when [`ServerConfig::spool_dir`] is
+//! set, and deleted once reloaded) and a higher-priority job takes the
+//! array. Because chains are pure functions of `(seed, iteration,
+//! site)` and models are pure functions of the spec, results are
+//! bit-identical whatever the interleaving — scheduling affects *when*,
+//! never *what*.
 //!
 //! Two capacity levers ride on that determinism contract:
 //!
@@ -30,13 +31,10 @@
 //!   (`submitted → admitted → completed`, `cached: true` on the event
 //!   and the [`JobResult`]). Sound because [`JobSpec::digest`] hashes
 //!   exactly the fields the artifact depends on.
-//! * **Same-scene co-dispatch** — a dispatch batches up to
-//!   [`ServerConfig::scene_batch`] queued jobs sharing the head's scene
-//!   digest and priority class, so the worker builds the scene's
-//!   `MrfModel` once for the whole group (and keeps it in a small
-//!   worker-local LRU across slices). A batch still honors preemption:
-//!   the flag is polled at every sweep boundary, and members the flag
-//!   beats to the worker are handed back untouched.
+//! * **Scene-model cache** — each worker keeps its recently built
+//!   models in a small [`SceneModelCache`], so same-scene jobs and a
+//!   job's successive slices on one worker build the scene's `MrfModel`
+//!   once.
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::events::{JobEvent, JobState};
@@ -48,7 +46,7 @@ use crate::spec::{JobResult, JobSpec, Priority, SpecError};
 use bench::trace_jsonl::JsonlTraceWriter;
 use mrf::Checkpoint;
 use rsu::{RsuArray, RsuConfig};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -58,28 +56,29 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Built scene models a worker keeps across orders: enough for a batch
-/// plus a couple of alternating scenes under quantum slicing.
+/// Built scene models a worker keeps across orders: a few alternating
+/// scenes under quantum slicing.
 const WORKER_SCENE_CACHE: usize = 4;
+
+/// RSU units per worker array. The unit count sets only how sites band
+/// across units, never what a chain computes (rsu's
+/// `any_unit_count_produces_the_identical_chain`).
+const WORKER_ARRAY_UNITS: u32 = 8;
 
 /// Server shape and policy.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads; each owns one simulated RSU array.
     pub workers: usize,
-    /// RSU units per worker array.
-    pub array_units: u32,
     /// Maximum sweeps per job per scheduling slice.
     pub quantum: usize,
     /// Result-cache capacity in entries; zero disables caching (every
     /// job recomputes).
     pub cache_capacity: usize,
-    /// Maximum jobs per same-scene co-dispatch group; one disables
-    /// batching (every dispatch is a single job).
-    pub scene_batch: usize,
     /// When set, preempted jobs spool their checkpoint here durably
-    /// (via [`Checkpoint::save`]) and resume by reloading it from disk;
-    /// when unset, suspension state stays in memory.
+    /// (via [`Checkpoint::save`]) and resume by reloading it from disk,
+    /// which deletes the file; when unset, suspension state stays in
+    /// memory.
     pub spool_dir: Option<PathBuf>,
     /// When set, every lifecycle event is streamed live as a `"job"`
     /// JSONL record to this file.
@@ -93,10 +92,8 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            array_units: 8,
             quantum: 10,
             cache_capacity: 256,
-            scene_batch: 4,
             spool_dir: None,
             trace_path: None,
             limits: QueueLimits::unbounded(),
@@ -120,8 +117,8 @@ pub struct ServeOutcome {
     /// `wait_for` round trips the scheduler answered — one per call
     /// with a blocking wait, unbounded with a poll loop.
     pub poll_round_trips: u64,
-    /// Scene models built across all workers; co-dispatch batching
-    /// exists to keep this below the dispatched-slice count.
+    /// Scene models built across all workers; the workers' model caches
+    /// keep this below the dispatched-slice count.
     pub model_builds: u64,
     /// Jobs shed by admission control (at submit or by displacement);
     /// each appears in `results` with `rejected: true`.
@@ -139,20 +136,14 @@ impl ServeOutcome {
     }
 }
 
-/// Orders the scheduler sends a worker.
-enum Order {
-    /// Run each entry for up to `quantum` sweeps, in order. Entries
-    /// share a scene digest and priority class; `preempt` covers the
-    /// whole group.
-    Run {
-        entries: Vec<Pending>,
-        quantum: usize,
-        preempt: Arc<AtomicBool>,
-    },
-    Exit,
+/// A slice the scheduler hands a worker: run `entry` for up to one
+/// quantum, yielding early once `preempt` is raised.
+struct Order {
+    entry: Pending,
+    preempt: Arc<AtomicBool>,
 }
 
-/// What a worker did with one batch member.
+/// How a worker's slice ended.
 enum SliceReport {
     Completed {
         metric: &'static str,
@@ -163,9 +154,6 @@ enum SliceReport {
         status: SliceStatus,
         checkpoint: Box<Checkpoint>,
     },
-    /// The preempt flag beat this member to the worker: handed back
-    /// untouched (no sweeps, no events, resume state unchanged).
-    Requeued,
     Failed {
         message: String,
     },
@@ -209,13 +197,9 @@ pub enum WaitOutcome {
 
 /// The unified message stream the scheduler drains.
 enum Msg {
-    /// A validated spec plus the submitter's reply slot. With
-    /// `backpressure` the submission parks (FIFO) when admission
-    /// control would shed it, and the reply — the blocking part of
-    /// `submit_blocking` — arrives once the job really admits.
+    /// A validated spec plus the submitter's reply slot.
     Submit {
         spec: JobSpec,
-        backpressure: bool,
         reply: Sender<Result<Admission, SpecError>>,
     },
     Sliced {
@@ -236,112 +220,80 @@ enum Msg {
     ShutdownWhenIdle,
 }
 
-/// A batch currently executing on a worker.
+/// A slice currently executing on a worker.
 struct RunningSlice {
     priority: Priority,
     preempt: Arc<AtomicBool>,
     preempt_requested: bool,
-    /// Batch members whose `Sliced` report is still outstanding; the
-    /// worker slot frees when this reaches zero.
-    remaining: usize,
 }
 
 fn worker_loop(
     worker: u32,
-    config: &ServerConfig,
+    quantum: usize,
     orders: Receiver<Order>,
     replies: Sender<Msg>,
     builds: Arc<AtomicU64>,
 ) {
-    let mut array = RsuArray::new(RsuConfig::new_design(), config.array_units);
+    let mut array = RsuArray::new(RsuConfig::new_design(), WORKER_ARRAY_UNITS);
     let mut models = SceneModelCache::new(WORKER_SCENE_CACHE);
-    let mut reported_builds = 0u64;
-    while let Ok(order) = orders.recv() {
-        let (entries, quantum, preempt) = match order {
-            Order::Run {
-                entries,
-                quantum,
-                preempt,
-            } => (entries, quantum, preempt),
-            Order::Exit => break,
+    // Runs until the scheduler drops its end of the order channel.
+    while let Ok(Order { mut entry, preempt }) = orders.recv() {
+        let built = models.builds();
+        let materialized = match &entry.resume {
+            ResumeFrom::Fresh => JobTask::start_cached(entry.spec.clone(), &mut models),
+            ResumeFrom::Memory(checkpoint) => {
+                JobTask::resume_cached(entry.spec.clone(), checkpoint, &mut models)
+            }
+            ResumeFrom::Spooled(path) => Checkpoint::load(path)
+                .map_err(|e| SpecError::new(format!("spooled checkpoint unreadable: {e}")))
+                .and_then(|cp| {
+                    // The server reads a spool file once: the next
+                    // preemption writes a fresh one. A file that failed
+                    // to load stays for inspection.
+                    let _ = fs::remove_file(path);
+                    JobTask::resume_cached(entry.spec.clone(), &cp, &mut models)
+                }),
         };
-        let mut preempted = false;
-        for entry in entries {
-            if preempted || preempt.load(Ordering::Acquire) {
-                preempted = true;
-                let _ = replies.send(Msg::Sliced {
-                    worker,
-                    entry: Box::new(entry),
-                    sweeps_run: 0,
-                    report: SliceReport::Requeued,
-                });
-                continue;
-            }
-            let materialized = match &entry.resume {
-                ResumeFrom::Fresh => JobTask::start_cached(entry.spec.clone(), &mut models),
-                ResumeFrom::Memory(checkpoint) => {
-                    JobTask::resume_cached(entry.spec.clone(), checkpoint, &mut models)
+        // Publish build-count growth before the report that caused it:
+        // the channel send orders the counter ahead of the scheduler's
+        // drain.
+        builds.fetch_add(models.builds() - built, Ordering::Relaxed);
+        let (sweeps_run, report) = match materialized {
+            Ok(mut task) => {
+                let before = task.sweeps_done();
+                let mut status = task.run_slice(&mut array, quantum, &preempt);
+                entry.sweeps_done = task.sweeps_done();
+                // A flag raised after the final boundary check can race
+                // quantum expiry; an expiry observed with the flag up is
+                // a preemption (classified here, where the flag and the
+                // slice end are on the same thread).
+                if status == SliceStatus::Expired && preempt.load(Ordering::Acquire) {
+                    status = SliceStatus::Preempted;
                 }
-                ResumeFrom::Spooled(path) => Checkpoint::load(path)
-                    .map_err(|e| SpecError::new(format!("spooled checkpoint unreadable: {e}")))
-                    .and_then(|cp| JobTask::resume_cached(entry.spec.clone(), &cp, &mut models)),
-            };
-            // Publish build-count growth before the report that caused
-            // it: the channel send orders the counter ahead of the
-            // scheduler's drain.
-            let delta = models.builds() - reported_builds;
-            if delta > 0 {
-                builds.fetch_add(delta, Ordering::Relaxed);
-                reported_builds = models.builds();
-            }
-            let mut task = match materialized {
-                Ok(task) => task,
-                Err(e) => {
-                    let _ = replies.send(Msg::Sliced {
-                        worker,
-                        entry: Box::new(entry),
-                        sweeps_run: 0,
-                        report: SliceReport::Failed { message: e.message },
-                    });
-                    continue;
-                }
-            };
-            let before = task.sweeps_done();
-            let mut status = task.run_slice(&mut array, quantum, &preempt);
-            let sweeps_run = task.sweeps_done() - before;
-            // A flag raised after the final boundary check can race
-            // quantum expiry; an expiry observed with the flag up is a
-            // preemption (classified here, where the flag and the slice
-            // end are on the same thread).
-            if status == SliceStatus::Expired && preempt.load(Ordering::Acquire) {
-                status = SliceStatus::Preempted;
-            }
-            if status == SliceStatus::Preempted {
-                preempted = true;
-            }
-            let report = match status {
-                SliceStatus::Completed => {
-                    let (metric, score, field_digest) = task.finish();
-                    SliceReport::Completed {
-                        metric,
-                        score,
-                        field_digest,
+                let report = match status {
+                    SliceStatus::Completed => {
+                        let (metric, score, field_digest) = task.finish();
+                        SliceReport::Completed {
+                            metric,
+                            score,
+                            field_digest,
+                        }
                     }
-                }
-                SliceStatus::Expired | SliceStatus::Preempted => SliceReport::Yielded {
-                    status,
-                    checkpoint: Box::new(task.checkpoint()),
-                },
-            };
-            let mut entry = entry;
-            entry.sweeps_done = task.sweeps_done();
-            let _ = replies.send(Msg::Sliced {
-                worker,
-                entry: Box::new(entry),
-                sweeps_run,
-                report,
-            });
-        }
+                    SliceStatus::Expired | SliceStatus::Preempted => SliceReport::Yielded {
+                        status,
+                        checkpoint: Box::new(task.checkpoint()),
+                    },
+                };
+                (entry.sweeps_done - before, report)
+            }
+            Err(e) => (0, SliceReport::Failed { message: e.message }),
+        };
+        let _ = replies.send(Msg::Sliced {
+            worker,
+            entry: Box::new(entry),
+            sweeps_run,
+            report,
+        });
     }
 }
 
@@ -360,12 +312,8 @@ struct Scheduler {
     /// Terminal state per job id, for replaying to late waiters.
     terminal: BTreeMap<String, JobState>,
     waiters: Vec<(String, JobState, Sender<WaitOutcome>)>,
-    /// Backpressured submissions waiting for admission capacity, FIFO.
-    /// Counted in `in_flight` so a drain waits for them.
-    parked: VecDeque<(JobSpec, Sender<Result<Admission, SpecError>>)>,
     poll_round_trips: u64,
     trace: Option<JsonlTraceWriter<BufWriter<fs::File>>>,
-    in_flight: usize,
     shed_jobs: u64,
     peak_queued: usize,
     draining: bool,
@@ -416,12 +364,7 @@ impl Scheduler {
         self.emit(event);
     }
 
-    fn on_submit(
-        &mut self,
-        spec: JobSpec,
-        backpressure: bool,
-        reply: Sender<Result<Admission, SpecError>>,
-    ) {
+    fn on_submit(&mut self, spec: JobSpec, reply: Sender<Result<Admission, SpecError>>) {
         if self.submit_t.contains_key(&spec.id) {
             // Two jobs sharing an id would corrupt waiter wakeup and
             // lifecycle validation (both keyed by the id string):
@@ -470,52 +413,27 @@ impl Scheduler {
             let _ = reply.send(Ok(Admission::Cached));
             return;
         }
-        if let Some(reason) = self.queue.would_shed(&spec, &self.config.limits) {
-            if backpressure {
-                // Accept-with-backpressure: park FIFO; the submitter
-                // stays blocked until capacity admits the job.
-                self.in_flight += 1;
-                self.parked.push_back((spec, reply));
+        let id = spec.id.clone();
+        let pending = Pending::new(spec, self.submit_counter, now);
+        self.submit_counter += 1;
+        let victim = match self.queue.admit_bounded(pending, &self.config.limits) {
+            AdmissionOutcome::Admitted => None,
+            AdmissionOutcome::AdmittedDisplacing(victim) => Some(victim),
+            AdmissionOutcome::Shed(_, reason) => {
+                self.shed_jobs += 1;
+                self.finish_rejected(&id, reason);
+                let _ = reply.send(Ok(Admission::Rejected(reason)));
                 return;
             }
+        };
+        self.emit_queue_side(&id, JobState::Admitted, None);
+        if let Some(victim) = victim {
             self.shed_jobs += 1;
-            self.finish_rejected(&spec.id, reason);
-            let _ = reply.send(Ok(Admission::Rejected(reason)));
-            return;
-        }
-        self.in_flight += 1;
-        self.admit_now(spec, reply);
-        // A displacement may have freed a tenant slot a parked
-        // submission fits into.
-        self.try_unpark();
-        self.dispatch_and_preempt();
-    }
-
-    /// Queues a spec the admission probe cleared, emitting `admitted`
-    /// and answering the submitter. The caller has already counted the
-    /// job in `in_flight`.
-    fn admit_now(&mut self, spec: JobSpec, reply: Sender<Result<Admission, SpecError>>) {
-        let now = self.now_ms();
-        let index = self.submit_counter;
-        self.submit_counter += 1;
-        self.emit_queue_side(&spec.id, JobState::Admitted, None);
-        let pending = Pending::new(spec, index, now);
-        match self.queue.admit_bounded(pending, &self.config.limits) {
-            AdmissionOutcome::Admitted => {}
-            AdmissionOutcome::AdmittedDisplacing(victim) => {
-                self.shed_jobs += 1;
-                self.finish_rejected(&victim.spec.id, ShedReason::Displaced);
-                self.in_flight -= 1;
-            }
-            AdmissionOutcome::Shed(pending, reason) => {
-                unreachable!(
-                    "probe admitted {:?} but the queue shed it: {reason}",
-                    pending.spec.id
-                )
-            }
+            self.finish_rejected(&victim.spec.id, ShedReason::Displaced);
         }
         self.peak_queued = self.peak_queued.max(self.queue.len());
         let _ = reply.send(Ok(Admission::Queued));
+        self.dispatch_and_preempt();
     }
 
     /// Emits the terminal `rejected` event and the `rejected: true`
@@ -539,81 +457,44 @@ impl Scheduler {
         });
     }
 
-    /// Admits parked (backpressured) submissions while the front of the
-    /// backlog fits. Strictly FIFO — a smaller job never jumps a parked
-    /// earlier one — keeping backpressure deterministic and
-    /// starvation-free.
-    fn try_unpark(&mut self) {
-        while let Some((spec, _)) = self.parked.front() {
-            if self.queue.would_shed(spec, &self.config.limits).is_some() {
-                return;
-            }
-            let (spec, reply) = self.parked.pop_front().expect("front exists");
-            self.admit_now(spec, reply);
-        }
-    }
-
-    /// Fills free workers from the queue — each dispatch takes the best
-    /// entry plus up to `scene_batch - 1` same-scene, same-class
-    /// companions — then, if the queue still holds an entry outranking
-    /// some running slice, raises that slice's preempt flag.
+    /// Fills each free worker with the queue's best entry, then, if the
+    /// queue still holds an entry outranking some running slice, raises
+    /// that slice's preempt flag.
     fn dispatch_and_preempt(&mut self) {
         while let Some(free) = self.running.iter().position(Option::is_none) {
-            let Some(head) = self.queue.pop_next() else {
+            let Some(mut entry) = self.queue.pop_next() else {
                 break;
             };
-            let mut entries = vec![head];
-            while entries.len() < self.config.scene_batch.max(1) {
-                let Some(companion) = self
-                    .queue
-                    .pop_matching(entries[0].scene_digest, entries[0].spec.priority)
-                else {
-                    break;
-                };
-                entries.push(companion);
-            }
             let now = self.now_ms();
-            for entry in &mut entries {
-                if !entry.started {
-                    entry.started = true;
-                    entry.first_start_t_ms = Some(now);
-                    let event = JobEvent {
-                        job: entry.spec.id.clone(),
-                        state: JobState::Started,
-                        t_ms: now,
-                        worker: Some(free as u32),
-                        sweep: entry.sweeps_done,
-                        cached: false,
-                        detail: None,
-                    };
-                    self.emit(event);
-                } else if entry.resume_event_pending {
-                    entry.resume_event_pending = false;
-                    let event = JobEvent {
-                        job: entry.spec.id.clone(),
-                        state: JobState::Resumed,
-                        t_ms: now,
-                        worker: Some(free as u32),
-                        sweep: entry.sweeps_done,
-                        cached: false,
-                        detail: None,
-                    };
-                    self.emit(event);
-                }
+            let state = if !entry.started {
+                entry.started = true;
+                entry.first_start_t_ms = Some(now);
+                Some(JobState::Started)
+            } else if entry.resume_event_pending {
+                entry.resume_event_pending = false;
+                Some(JobState::Resumed)
+            } else {
+                None
+            };
+            if let Some(state) = state {
+                let event = JobEvent {
+                    job: entry.spec.id.clone(),
+                    state,
+                    t_ms: now,
+                    worker: Some(free as u32),
+                    sweep: entry.sweeps_done,
+                    cached: false,
+                    detail: None,
+                };
+                self.emit(event);
             }
             let preempt = Arc::new(AtomicBool::new(false));
             self.running[free] = Some(RunningSlice {
-                priority: entries[0].spec.priority,
+                priority: entry.spec.priority,
                 preempt: Arc::clone(&preempt),
                 preempt_requested: false,
-                remaining: entries.len(),
             });
-            let order = Order::Run {
-                entries,
-                quantum: self.config.quantum,
-                preempt,
-            };
-            let _ = self.order_txs[free].send(order);
+            let _ = self.order_txs[free].send(Order { entry, preempt });
         }
         // No worker free: preempt the lowest-priority running slice if
         // the queue holds something strictly higher.
@@ -633,15 +514,9 @@ impl Scheduler {
     }
 
     fn on_sliced(&mut self, worker: u32, mut entry: Pending, sweeps_run: u64, report: SliceReport) {
-        {
-            let slice = self.running[worker as usize]
-                .as_mut()
-                .expect("report from a worker with no running slice");
-            slice.remaining -= 1;
-            if slice.remaining == 0 {
-                self.running[worker as usize] = None;
-            }
-        }
+        self.running[worker as usize]
+            .take()
+            .expect("report from a worker with no running slice");
         if sweeps_run > 0 {
             self.queue.credit(&entry.spec.tenant, sweeps_run);
         }
@@ -686,7 +561,6 @@ impl Scheduler {
                     reason: None,
                 });
                 self.queue.finish(&entry.spec.tenant, entry.spec.priority);
-                self.in_flight -= 1;
             }
             SliceReport::Yielded { status, checkpoint } => {
                 if status == SliceStatus::Preempted {
@@ -719,10 +593,6 @@ impl Scheduler {
                 }
                 self.queue.push(entry);
             }
-            SliceReport::Requeued => {
-                // Never ran: resume state and events are untouched.
-                self.queue.push(entry);
-            }
             SliceReport::Failed { message } => {
                 let event = JobEvent {
                     job: entry.spec.id.clone(),
@@ -735,16 +605,15 @@ impl Scheduler {
                 };
                 self.emit(event);
                 self.queue.finish(&entry.spec.tenant, entry.spec.priority);
-                self.in_flight -= 1;
             }
         }
-        // Freed capacity admits parked submissions before dispatch.
-        self.try_unpark();
         self.dispatch_and_preempt();
     }
 
+    /// No live job remains: nothing queued, suspended or running.
     fn idle(&self) -> bool {
-        self.in_flight == 0 && self.running.iter().all(Option::is_none)
+        self.queue.live_in_class(Priority::Interactive) == 0
+            && self.queue.live_in_class(Priority::Batch) == 0
     }
 }
 
@@ -765,16 +634,11 @@ fn wait_on(cmd: &Sender<Msg>, job: &str, state: JobState) -> WaitOutcome {
     rx.recv().unwrap_or(WaitOutcome::Disconnected)
 }
 
-fn submit_on(
-    cmd: &Sender<Msg>,
-    spec: &JobSpec,
-    backpressure: bool,
-) -> Result<Admission, SpecError> {
+fn submit_on(cmd: &Sender<Msg>, spec: &JobSpec) -> Result<Admission, SpecError> {
     spec.validate()?;
     let (tx, rx) = mpsc::channel();
     cmd.send(Msg::Submit {
         spec: spec.clone(),
-        backpressure,
         reply: tx,
     })
     .map_err(|_| SpecError::new("server is shut down"))?;
@@ -794,12 +658,7 @@ pub struct ServeClient {
 impl ServeClient {
     /// Validates and submits a job (see [`ServeHandle::submit`]).
     pub fn submit(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, false)
-    }
-
-    /// Submits with backpressure (see [`ServeHandle::submit_blocking`]).
-    pub fn submit_blocking(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, true)
+        submit_on(&self.cmd, spec)
     }
 
     /// Blocks until the given job has emitted the given lifecycle event
@@ -824,16 +683,7 @@ impl ServeHandle {
     /// ids are synchronous typed errors — an invalid spec never enters
     /// the system and emits no events.
     pub fn submit(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, false)
-    }
-
-    /// Like [`submit`](ServeHandle::submit), but when admission control
-    /// would shed the job the call *blocks* — the job parks in a FIFO
-    /// backlog and admits as capacity frees — so it never returns
-    /// [`Admission::Rejected`]. The backpressure variant for clients
-    /// that prefer waiting over losing work.
-    pub fn submit_blocking(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, true)
+        submit_on(&self.cmd, spec)
     }
 
     /// A cloneable endpoint for submitting from other threads.
@@ -902,20 +752,12 @@ pub fn serve(config: ServerConfig) -> ServeHandle {
         let (order_tx, order_rx) = mpsc::channel::<Order>();
         order_txs.push(order_tx);
         let replies = cmd_tx.clone();
-        let worker_config = config.clone();
+        let quantum = config.quantum;
         let worker_builds = Arc::clone(&builds);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{index}"))
-                .spawn(move || {
-                    worker_loop(
-                        index as u32,
-                        &worker_config,
-                        order_rx,
-                        replies,
-                        worker_builds,
-                    )
-                })
+                .spawn(move || worker_loop(index as u32, quantum, order_rx, replies, worker_builds))
                 .expect("worker thread spawns"),
         );
     }
@@ -939,21 +781,15 @@ pub fn serve(config: ServerConfig) -> ServeHandle {
                 submit_t: BTreeMap::new(),
                 terminal: BTreeMap::new(),
                 waiters: Vec::new(),
-                parked: VecDeque::new(),
                 poll_round_trips: 0,
                 trace,
-                in_flight: 0,
                 shed_jobs: 0,
                 peak_queued: 0,
                 draining: false,
             };
             while let Ok(msg) = cmd_rx.recv() {
                 match msg {
-                    Msg::Submit {
-                        spec,
-                        backpressure,
-                        reply,
-                    } => state.on_submit(spec, backpressure, reply),
+                    Msg::Submit { spec, reply } => state.on_submit(spec, reply),
                     Msg::Sliced {
                         worker,
                         entry,
@@ -991,9 +827,8 @@ pub fn serve(config: ServerConfig) -> ServeHandle {
                     break;
                 }
             }
-            for tx in &state.order_txs {
-                let _ = tx.send(Order::Exit);
-            }
+            // Dropping the order channels stops the workers.
+            state.order_txs.clear();
             if let Some(writer) = &mut state.trace {
                 writer.flush();
                 if let Some(e) = writer.take_error() {
@@ -1137,6 +972,14 @@ mod tests {
             quantum: 2,
             ..ServerConfig::default()
         });
+        // A long interactive blocker holds the only worker (it outranks
+        // every batch entry at each quantum boundary), so the whole
+        // batch backlog is queued before any of it starts and the
+        // schedule depends on fair share alone, not on thread timing.
+        handle
+            .submit(&spec("blocker", "live", Priority::Interactive, 600))
+            .unwrap();
+        handle.wait_for("blocker", JobState::Started);
         // One hog tenant floods first; a light tenant arrives after.
         for i in 0..3 {
             handle
@@ -1148,20 +991,32 @@ mod tests {
             .unwrap();
         let outcome = handle.finish();
         validate_lifecycle(&outcome.events).unwrap();
-        assert_eq!(outcome.results.len(), 4);
-        // The light tenant must not finish last: fair share pulls it
-        // ahead of the hog's backlog once the hog has been served.
+        assert_eq!(outcome.results.len(), 5);
+        let light_submitted = outcome
+            .events
+            .iter()
+            .position(|e| e.job == "light-0" && e.state == JobState::Submitted)
+            .unwrap();
+        let first_batch_start = outcome
+            .events
+            .iter()
+            .position(|e| e.job != "blocker" && e.state == JobState::Started)
+            .unwrap();
+        assert!(
+            light_submitted < first_batch_start,
+            "the backlog must be complete before the first batch slice"
+        );
+        // Fair share pulls the light tenant ahead of the hog's backlog
+        // once the hog has been served: the two tenants alternate
+        // quanta (FIFO among equals), so light-0 finishes right after
+        // the hog's first job.
         let order: Vec<&str> = outcome
             .events
             .iter()
-            .filter(|e| e.state == JobState::Completed)
+            .filter(|e| e.job != "blocker" && e.state == JobState::Completed)
             .map(|e| e.job.as_str())
             .collect();
-        let light_pos = order.iter().position(|j| *j == "light-0").unwrap();
-        assert!(
-            light_pos < order.len() - 1,
-            "light tenant starved: completion order {order:?}"
-        );
+        assert_eq!(order, ["hog-0", "light-0", "hog-1", "hog-2"]);
     }
 
     #[test]
@@ -1424,36 +1279,30 @@ mod tests {
     }
 
     #[test]
-    fn blocking_submit_parks_until_capacity_frees_and_never_sheds() {
+    fn reloaded_spool_files_are_deleted() {
+        let spool =
+            std::env::temp_dir().join(format!("retrsu-serve-spool-cleanup-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&spool);
         let handle = serve(ServerConfig {
             workers: 1,
-            quantum: 4,
-            limits: QueueLimits {
-                max_batch: 1,
-                ..QueueLimits::unbounded()
-            },
+            quantum: 1_000,
+            spool_dir: Some(spool.clone()),
             ..ServerConfig::default()
         });
         handle
-            .submit(&spec("b1", "t", Priority::Batch, 12))
+            .submit(&spec("bg", "tenant-b", Priority::Batch, 200))
             .unwrap();
-        let client = handle.client();
-        let parked = std::thread::spawn(move || {
-            client.submit_blocking(&spec("b2", "u", Priority::Batch, 6))
-        });
-        // The parked submission admits once b1 finishes; the blocked
-        // submitter gets Queued, never Rejected, and the job then
-        // completes like any other.
-        assert_eq!(parked.join().unwrap().unwrap(), Admission::Queued);
-        assert_eq!(
-            handle.wait_for("b2", JobState::Completed),
-            WaitOutcome::Reached
-        );
+        handle.wait_for("bg", JobState::Started);
+        handle
+            .submit(&spec("fg", "tenant-i", Priority::Interactive, 5))
+            .unwrap();
         let outcome = handle.finish();
-        validate_lifecycle(&outcome.events).unwrap();
-        assert_eq!(outcome.shed_jobs, 0);
-        assert_eq!(outcome.results.len(), 2);
-        assert!(outcome.results.iter().all(|r| !r.rejected));
-        assert!(outcome.peak_queued <= 1, "the bound held: {outcome:?}");
+        let bg = outcome.result("bg").expect("batch job completed");
+        assert!(bg.preemptions >= 1, "expected a preemption, got {bg:?}");
+        // Every spooled checkpoint was reloaded by a resume, so none is
+        // left behind.
+        let left: Vec<_> = fs::read_dir(&spool).unwrap().collect();
+        assert!(left.is_empty(), "spool not emptied: {left:?}");
+        fs::remove_dir_all(&spool).ok();
     }
 }

@@ -368,8 +368,9 @@ impl JobSpec {
     /// FNV-1a over the application name plus the scene parameters only
     /// — the model/dataset identity. Jobs sharing a scene digest run
     /// different chains (seed, iterations) over the *same*
-    /// [`MrfModel`](mrf::MrfModel), so the scheduler may co-dispatch
-    /// them and a worker builds the model once per group.
+    /// [`MrfModel`](mrf::MrfModel), so a worker's
+    /// [`SceneModelCache`](crate::SceneModelCache) builds it once for all
+    /// of them.
     pub fn scene_digest(&self) -> u64 {
         let scene = object(vec![
             ("application", Value::String(self.kind.name().into())),

@@ -48,10 +48,8 @@ fn burst_spec(id: String, priority: Priority, tenant: String, iterations: usize)
 fn run_burst(threads: usize) -> ServeOutcome {
     let handle = serve(ServerConfig {
         workers: 1,
-        array_units: 8,
         quantum: 100_000, // nothing interleaves but the blocker's own run
         cache_capacity: 0,
-        scene_batch: 1,
         spool_dir: None,
         trace_path: None,
         limits: QueueLimits {

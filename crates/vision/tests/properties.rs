@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn rms_axioms(a in arb_field(5, 5, 8), b in arb_field(5, 5, 8)) {
         let r = rms_error(&a, &b, None);
-        prop_assert!(r >= 0.0 && r <= 7.0 + 1e-12);
+        prop_assert!((0.0..=7.0 + 1e-12).contains(&r));
         prop_assert!(rms_error(&a, &a, None) == 0.0);
     }
 

@@ -15,6 +15,9 @@ use ret_rsu::vision::metrics::{
 };
 use ret_rsu::vision::SegmentModel;
 
+/// A partition-comparison metric: `(segmentation, reference) -> score`.
+type Metric = fn(&mrf::LabelField, &mrf::LabelField) -> f64;
+
 fn solve<S: mrf::SiteSampler>(model: &SegmentModel, sampler: &mut S, seed: u64) -> mrf::LabelField {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut field = mrf::LabelField::random(model.grid(), model.num_labels(), &mut rng);
@@ -44,7 +47,7 @@ fn main() -> Result<(), ret_rsu::vision::VisionError> {
     let hw = solve(&model, &mut RsuG::new_design(), 3);
 
     println!("\nmetric                     software   new RSU-G   (vs generating partition)");
-    let rows: [(&str, fn(&mrf::LabelField, &mrf::LabelField) -> f64, &str); 4] = [
+    let rows: [(&str, Metric, &str); 4] = [
         (
             "Variation of Information",
             variation_of_information,

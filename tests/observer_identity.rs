@@ -15,13 +15,16 @@ use rand::{RngCore, SeedableRng};
 use rsu::{RsuArray, RsuConfig};
 use sampling::Xoshiro256pp;
 
+/// One recorded site update: `(iteration, site, old label, new label)`.
+type SiteUpdate = (usize, usize, Label, Label);
+
 /// A deliberately heavy observer: records every sweep *and* every site
 /// update, so any accidental coupling between observation and the chain
 /// (shared RNG draws, reordered flips) would show up as divergence.
 #[derive(Default)]
 struct RecordingObserver {
     sweeps: Vec<SweepRecord>,
-    site_updates: Vec<(usize, usize, Label, Label)>,
+    site_updates: Vec<SiteUpdate>,
 }
 
 impl SweepObserver for RecordingObserver {
@@ -109,7 +112,7 @@ proptest! {
     ) {
         let mut init_rng = Xoshiro256pp::seed_from_u64(seed);
         let start = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
-        let mut reference: Option<(Vec<f64>, Vec<(usize, usize, Label, Label)>)> = None;
+        let mut reference: Option<(Vec<f64>, Vec<SiteUpdate>)> = None;
         for threads in [1usize, 2, 7] {
             let solver = ParallelSweepSolver::new(&model);
             let solver = solver
@@ -159,7 +162,7 @@ proptest! {
     ) {
         let mut init_rng = Xoshiro256pp::seed_from_u64(seed);
         let start = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
-        let mut reference: Option<Vec<(usize, usize, Label, Label)>> = None;
+        let mut reference: Option<Vec<SiteUpdate>> = None;
         for threads in [1usize, 2, 7] {
             let run_plain = || {
                 let mut array = RsuArray::new(RsuConfig::new_design(), 4);

@@ -4,11 +4,21 @@
 //! `RsuArray` chain. A change to RNG consumption, visit order, sampler
 //! dispatch or fault service changes a digest, so restructuring the
 //! sweep engines cannot silently change a chain.
+//!
+//! The 40-sweep pins never cool below T = 8.1. The full-schedule pins
+//! run all 220 sweeps of `annealing_schedule()` (floor 0.4 from sweep
+//! 113), where most labels are cut off, and add the RSU-G paths the
+//! short pins miss: a bleached (derated) unit, and a 12-time-bit unit
+//! whose races mostly land past bin 64 and clamp at the window's end.
+//! The array pins also fix the units' combined `RsuStats`.
 
-use bench::{annealing_schedule, stereo_model, RunPlan, SamplerKind};
+use bench::{annealing_schedule, stereo_model, RunPlan, SamplerKind, STEREO_ITERATIONS};
 use mrf::{LabelField, MrfModel, NoopObserver, NumericPolicy, ParallelSweepSolver};
 use rand::SeedableRng;
-use rsu::{DegradePolicy, FaultPlan, RsuArray, RsuConfig, RsuG};
+use rsu::{
+    CensoredPolicy, DegradePolicy, FaultKind, FaultPlan, RsuArray, RsuConfig, RsuG, RsuStats,
+    ScheduledFault,
+};
 use sampling::Xoshiro256pp;
 use vision::StereoModel;
 
@@ -22,12 +32,28 @@ const CHECKERBOARD_NEW_RSU: u64 = 0xf86a_ccaf_eb53_bed1;
 const FAST_ACTIVE_SOFTWARE: u64 = 0x1ffb_5790_63ad_0a98;
 const ARRAY_SOFTWARE_FALLBACK: u64 = 0xf2a1_5492_5c3e_ef3f;
 
-/// A 40×30 stereo scene with 8 disparities.
+const FULL_RASTER_PREVIOUS_RSU: u64 = 0x1fa8_17d3_1310_f14e;
+const FULL_RASTER_NEW_RSU: u64 = 0x9eca_b00a_d4f0_9e0e;
+const FULL_ARRAY_NEW_RSU: (u64, u64) = (0x5fd3_c56e_36dd_ab30, 0xd39b_aef9_f503_7b90);
+const FULL_ARRAY_BLEACHED: (u64, u64) = (0xc110_002d_0373_d00a, 0x233b_1822_37ee_3969);
+const FULL_RASTER_TIME_BITS_12_CLAMPED: u64 = 0xc167_6300_2c7a_8937;
+
+/// The 40×30 stereo scene of the 40-sweep pins, 8 disparities.
 fn model() -> StereoModel {
+    stereo_scene(40, 30)
+}
+
+/// The 24×18 scene of the full-schedule pins: small enough that a
+/// 220-sweep chain stays cheap in a debug build.
+fn small_model() -> StereoModel {
+    stereo_scene(24, 18)
+}
+
+fn stereo_scene(width: usize, height: usize) -> StereoModel {
     stereo_model(
         &scenes::StereoSpec {
-            width: 40,
-            height: 30,
+            width,
+            height,
             num_disparities: 8,
             num_layers: 2,
             noise_sigma: 1.0,
@@ -36,16 +62,40 @@ fn model() -> StereoModel {
     )
 }
 
-/// FNV-1a over the little-endian labels.
-fn digest(field: &LabelField) -> u64 {
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &label in field.as_slice() {
-        for byte in label.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for byte in bytes {
+        h ^= byte as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over the little-endian labels.
+fn digest(field: &LabelField) -> u64 {
+    fnv1a(
+        field
+            .as_slice()
+            .iter()
+            .flat_map(|label| label.to_le_bytes()),
+    )
+}
+
+/// Digest of every RSU-G counter.
+fn stats_digest(s: &RsuStats) -> u64 {
+    let counters = [
+        s.variable_evaluations,
+        s.label_evaluations,
+        s.cutoff_labels,
+        s.censored_samples,
+        s.ties_broken,
+        s.all_censored_fallbacks,
+        s.all_cutoff_keeps,
+        s.stall_cycles,
+        s.temperature_updates,
+    ];
+    fnv1a(counters.into_iter().flat_map(u64::to_le_bytes))
 }
 
 fn plan(threads: usize) -> RunPlan {
@@ -142,4 +192,93 @@ fn fault_injected_array_chain_is_pinned() {
             .unwrap();
         assert_eq!(digest(&field), ARRAY_SOFTWARE_FALLBACK, "{threads} threads");
     }
+}
+
+#[test]
+fn full_schedule_raster_rsu_chains_are_pinned() {
+    let model = small_model();
+    for (kind, pinned) in [
+        (SamplerKind::PreviousRsu, FULL_RASTER_PREVIOUS_RSU),
+        (SamplerKind::NewRsu, FULL_RASTER_NEW_RSU),
+    ] {
+        let field = kind.run(&model, annealing_schedule(), STEREO_ITERATIONS, SEED);
+        assert_eq!(digest(&field), pinned, "{} full raster chain", kind.name());
+    }
+}
+
+/// `(field digest, combined stats digest)` of an 8-unit new-design
+/// array run over the full schedule.
+fn full_array_run(threads: usize, faults: Option<FaultPlan>) -> (u64, u64) {
+    let model = small_model();
+    let mut array = RsuArray::new(RsuConfig::new_design(), 8);
+    if let Some(plan) = faults {
+        array.install_faults(plan);
+    }
+    let field = plan(threads)
+        .run_array(
+            &model,
+            &mut array,
+            annealing_schedule(),
+            STEREO_ITERATIONS,
+            SEED,
+            "",
+        )
+        .unwrap();
+    (digest(&field), stats_digest(&array.combined_stats()))
+}
+
+#[test]
+fn full_schedule_array_chain_is_pinned_at_every_thread_count() {
+    for threads in [1, 2, 7] {
+        assert_eq!(
+            full_array_run(threads, None),
+            FULL_ARRAY_NEW_RSU,
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn bleached_array_chain_is_pinned() {
+    // Two units bleach from the first sweeps on: one fades slowly, one
+    // is nearly dark by the end, so the derated race runs at every
+    // temperature of the schedule.
+    let faults = FaultPlan::new(DegradePolicy::RemapToHealthy)
+        .with_fault(ScheduledFault {
+            unit: 2,
+            sweep: 3,
+            kind: FaultKind::Bleached {
+                lifetime_sweeps: 90.0,
+            },
+        })
+        .with_fault(ScheduledFault {
+            unit: 5,
+            sweep: 0,
+            kind: FaultKind::Bleached {
+                lifetime_sweeps: 12.0,
+            },
+        });
+    for threads in [1, 2] {
+        assert_eq!(
+            full_array_run(threads, Some(faults.clone())),
+            FULL_ARRAY_BLEACHED,
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn twelve_time_bit_clamped_chain_is_pinned() {
+    let config = RsuConfig::builder()
+        .time_bits(12)
+        .censored_policy(CensoredPolicy::ClampToTMax)
+        .build()
+        .unwrap();
+    let field = SamplerKind::Custom(config).run(
+        &small_model(),
+        annealing_schedule(),
+        STEREO_ITERATIONS,
+        SEED,
+    );
+    assert_eq!(digest(&field), FULL_RASTER_TIME_BITS_12_CLAMPED);
 }

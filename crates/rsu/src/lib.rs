@@ -65,6 +65,7 @@ pub mod error;
 pub mod fault;
 pub mod pipeline;
 pub mod quantize;
+mod race;
 pub mod sampler;
 pub mod scaling;
 

@@ -24,6 +24,10 @@
 pub struct EnergyQuantizer {
     bits: u32,
     lsb: f64,
+    // `1 / lsb` when `lsb` is a power of two: the product `E · (1/lsb)`
+    // and the quotient `E / lsb` then round the same real number, so
+    // the multiply is bit-identical to the divide.
+    exact_reciprocal: Option<f64>,
 }
 
 impl EnergyQuantizer {
@@ -39,7 +43,12 @@ impl EnergyQuantizer {
             lsb > 0.0 && lsb.is_finite(),
             "lsb must be positive and finite"
         );
-        EnergyQuantizer { bits, lsb }
+        let power_of_two = lsb.is_normal() && lsb.to_bits() & ((1u64 << 52) - 1) == 0;
+        EnergyQuantizer {
+            bits,
+            lsb,
+            exact_reciprocal: power_of_two.then(|| 1.0 / lsb),
+        }
     }
 
     /// Precision in bits.
@@ -57,25 +66,28 @@ impl EnergyQuantizer {
         ((1u32 << self.bits) - 1) as u16
     }
 
-    /// Quantises one energy.
+    /// Quantises one energy: `round(E / lsb)` (halves away from zero)
+    /// clamped to `0 ..= max_code`. +inf and NaN saturate high (an
+    /// impossible label); −inf and every negative energy give 0.
+    ///
+    /// Inline compares and a truncating cast instead of `f64::round`,
+    /// which baseline x86-64 has no instruction for: this runs once per
+    /// label per site.
+    #[inline]
     pub fn quantize(&self, energy: f64) -> u16 {
-        if !energy.is_finite() {
-            // +inf (and NaN, conservatively) saturate high: an impossible
-            // label.
-            return if energy == f64::NEG_INFINITY {
-                0
-            } else {
-                self.max_code()
-            };
-        }
-        let code = (energy / self.lsb).round();
-        code.clamp(0.0, self.max_code() as f64) as u16
-    }
-
-    /// Quantises a slice of energies into `out` (cleared first).
-    pub fn quantize_all(&self, energies: &[f64], out: &mut Vec<u16>) {
-        out.clear();
-        out.extend(energies.iter().map(|&e| self.quantize(e)));
+        let x = match self.exact_reciprocal {
+            Some(reciprocal) => energy * reciprocal,
+            None => energy / self.lsb,
+        };
+        // NaN fails the compare and lands on the ceiling with +inf and
+        // everything above it.
+        let ceiling = f64::from(self.max_code());
+        let x = if x < ceiling { x } else { ceiling };
+        // The cast saturates: negatives, −0.0 and −inf truncate to 0 and
+        // their fraction `x − 0` is below one half.
+        let whole = x as u32;
+        // Exact: `x − trunc(x)` is representable for every finite x.
+        (whole + u32::from(x - whole as f64 >= 0.5)) as u16
     }
 
     /// Reconstructs the energy value a code represents.
@@ -139,14 +151,6 @@ mod tests {
         assert_eq!(q.quantize(f64::INFINITY), 255);
         assert_eq!(q.quantize(f64::NEG_INFINITY), 0);
         assert_eq!(q.quantize(f64::NAN), 255);
-    }
-
-    #[test]
-    fn quantize_all_clears_buffer() {
-        let q = EnergyQuantizer::new(8, 1.0);
-        let mut out = vec![9u16; 5];
-        q.quantize_all(&[1.0, 2.0], &mut out);
-        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]

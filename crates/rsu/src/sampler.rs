@@ -6,7 +6,7 @@
 //! 1. quantise every label's energy to `Energy_bits`
 //!    ([`EnergyQuantizer`]);
 //! 2. optionally apply decay-rate scaling `E' = E − E_min`
-//!    ([`EnergyFifo::scale_batch`]);
+//!    ([`EnergyFifo::scale_batch`](crate::EnergyFifo::scale_batch));
 //! 3. convert each scaled energy to a λ multiplier (LUT or comparison
 //!    structure, with λ0 floor / probability cut-off / 2^n truncation per
 //!    the configuration);
@@ -16,14 +16,25 @@
 //!    ([`PhotonPath::RetCircuits`]);
 //! 5. select the earliest bin (first-to-fire), breaking bin ties by the
 //!    configured policy.
+//!
+//! The simulator computes these steps the way the hardware does, with
+//! integer work. Steps 1–3 are a quantising pass, a minimum, and one
+//! lookup pass in a per-code multiplier table that is filled from the
+//! converter at each temperature change and also lists the active
+//! labels. Step 4 on the ideal path counts per-bin integer thresholds of
+//! the RNG word, derived from [`ret_device::sample_binned_ttf`] and
+//! rebuilt at each derating change (see `race.rs`). Both tables are pure
+//! functions of the configuration, temperature and derating, and every
+//! label, counter and RNG word is the same as the step-by-step float
+//! pipeline's.
 
 use crate::config::{CensoredPolicy, Conversion, PhotonPath, RsuConfig, TieBreak};
 use crate::convert::{ComparisonConverter, EnergyToLambda, LambdaConverter, LutConverter};
 use crate::quantize::EnergyQuantizer;
-use crate::scaling::EnergyFifo;
+use crate::race::RaceTable;
 use mrf::{Label, SiteSampler};
 use rand::Rng;
-use ret_device::{sample_binned_ttf, RetCalibration, RetCircuitBank};
+use ret_device::{RetCalibration, RetCircuitBank};
 
 /// Counters accumulated by an [`RsuG`] across its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,7 +102,10 @@ pub struct RsuG {
     config: RsuConfig,
     quantizer: EnergyQuantizer,
     converter: LambdaConverter,
-    circuits: Option<RetCircuitBank>,
+    // `converter.multiplier_of(code)` for every energy code, refilled at
+    // each temperature change.
+    multiplier_of_code: Vec<u16>,
+    photons: Photons,
     stats: RsuStats,
     temperature_initialised: bool,
     // Multiplicative emission-rate derating in (0, 1]: 1.0 = healthy
@@ -99,14 +113,25 @@ pub struct RsuG {
     // every label this unit samples (see `fault::FaultKind::Bleached`).
     rate_derating: f64,
     // Scratch buffers reused across evaluations. The per-variable hot
-    // loop (front_end → race) must never heap-allocate: every buffer it
-    // needs — quantised codes, scaled codes, λ multipliers, and the tie
-    // candidates of the current race — lives here and only grows to the
+    // loop (front_end → race) must never heap-allocate: the λ
+    // multipliers (codes until the lookup pass overwrites them), the
+    // indices of the active (non-zero) ones, their drawn bins and the
+    // tie candidates of the current race live here and only grow to the
     // unit's label capacity once.
-    codes: Vec<u16>,
-    scaled: Vec<u16>,
     multipliers: Vec<u16>,
+    active: Vec<u32>,
+    bins: Vec<u32>,
     tied: Vec<usize>,
+}
+
+/// Where a unit's fluorescence times come from.
+#[derive(Debug, Clone)]
+enum Photons {
+    /// The exact exponential draw, tabulated at the unit's derating
+    /// ([`PhotonPath::Ideal`]).
+    Ideal(RaceTable),
+    /// The stateful RET-circuit bank ([`PhotonPath::RetCircuits`]).
+    Circuits(RetCircuitBank),
 }
 
 impl RsuG {
@@ -129,25 +154,26 @@ impl RsuG {
                 1.0,
             )),
         };
-        let circuits = match config.photon_path() {
-            PhotonPath::Ideal => None,
+        let photons = match config.photon_path() {
+            PhotonPath::Ideal => Photons::Ideal(RaceTable::new(&config, 1.0)),
             PhotonPath::RetCircuits => {
                 let cal = RetCalibration::new(config.time_bits(), config.truncation())
                     .expect("config validation guarantees a legal calibration");
-                Some(RetCircuitBank::new_paper_design(cal))
+                Photons::Circuits(RetCircuitBank::new_paper_design(cal))
             }
         };
         RsuG {
             config,
             quantizer,
             converter,
-            circuits,
+            multiplier_of_code: vec![0; 1 << config.energy_bits()],
+            photons,
             stats: RsuStats::default(),
             temperature_initialised: false,
             rate_derating: 1.0,
-            codes: Vec::new(),
-            scaled: Vec::new(),
             multipliers: Vec::new(),
+            active: Vec::new(),
+            bins: Vec::new(),
             tied: Vec::new(),
         }
     }
@@ -188,6 +214,9 @@ impl RsuG {
     /// photon path models bleaching inside the circuit bank itself and
     /// ignores this knob.
     ///
+    /// A new value rebuilds the unit's race table (tens of microseconds
+    /// for the paper's designs); setting the current value is free.
+    ///
     /// # Panics
     ///
     /// Panics unless `derating` is in `(0, 1]`.
@@ -196,7 +225,12 @@ impl RsuG {
             derating > 0.0 && derating <= 1.0,
             "derating must be in (0, 1]"
         );
-        self.rate_derating = derating;
+        if derating != self.rate_derating {
+            self.rate_derating = derating;
+            if let Photons::Ideal(table) = &mut self.photons {
+                *table = RaceTable::new(&self.config, derating);
+            }
+        }
     }
 
     /// The active emission-rate derating (1.0 = healthy).
@@ -219,6 +253,9 @@ impl RsuG {
             || (self.converter.temperature() - t_code).abs() > 1e-12 * t_code
         {
             self.converter.set_temperature(t_code);
+            for (code, m) in self.multiplier_of_code.iter_mut().enumerate() {
+                *m = self.converter.multiplier_of(code as u16);
+            }
             self.stats.temperature_updates += 1;
             self.stats.stall_cycles += self.converter.update_stall_cycles();
             self.temperature_initialised = true;
@@ -233,21 +270,29 @@ impl RsuG {
             energies.len(),
             self.config.max_labels()
         );
-        self.quantizer.quantize_all(energies, &mut self.codes);
-        if self.config.decay_rate_scaling() {
-            EnergyFifo::scale_batch(&self.codes, &mut self.scaled);
-        } else {
-            self.scaled.clear();
-            self.scaled.extend_from_slice(&self.codes);
-        }
+        let quantizer = self.quantizer;
         self.multipliers.clear();
-        for &e in &self.scaled {
-            let m = self.converter.multiplier_of(e);
-            if m == 0 {
-                self.stats.cutoff_labels += 1;
-            }
-            self.multipliers.push(m);
+        self.multipliers
+            .extend(energies.iter().map(|&e| quantizer.quantize(e)));
+        // Decay-rate scaling, E' = E − E_min, as the FIFO's min register
+        // applies it (`EnergyFifo::scale_batch`).
+        let offset = if self.config.decay_rate_scaling() {
+            *self.multipliers.iter().min().expect("at least one label")
+        } else {
+            0
+        };
+        // Branch-free: every index is written, and kept by advancing
+        // past it only when its label is active.
+        self.active.resize(energies.len(), 0);
+        let mut n_active = 0;
+        for (i, slot) in self.multipliers.iter_mut().enumerate() {
+            let m = self.multiplier_of_code[usize::from(*slot - offset)];
+            *slot = m;
+            self.active[n_active] = i as u32;
+            n_active += usize::from(m != 0);
         }
+        self.active.truncate(n_active);
+        self.stats.cutoff_labels += (energies.len() - n_active) as u64;
     }
 
     /// Runs the back-end (sampling + selection) over explicit λ
@@ -263,40 +308,51 @@ impl RsuG {
         clamp_to_t_max: bool,
         rng: &mut R,
     ) -> RaceResult {
+        let mut active = std::mem::take(&mut self.active);
+        active.clear();
+        active.extend((0..multipliers.len() as u32).filter(|&i| multipliers[i as usize] != 0));
+        let result = self.race_active(multipliers, &active, clamp_to_t_max, rng);
+        self.active = active;
+        result
+    }
+
+    /// The race over the labels `active` lists, in index order: one
+    /// draw per active label, then the earliest bin and its ties.
+    fn race_active<R: Rng + ?Sized>(
+        &mut self,
+        multipliers: &[u16],
+        active: &[u32],
+        clamp_to_t_max: bool,
+        rng: &mut R,
+    ) -> RaceResult {
         let t_max = self.config.t_max_bins();
-        let lambda0 = self.config.lambda0_per_bin();
-        let mut best_bin: Option<u32> = None;
-        self.tied.clear();
-        for (i, &m) in multipliers.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            self.stats.label_evaluations += 1;
-            let sample = match &mut self.circuits {
-                Some(bank) => {
+        let censored = t_max + 1;
+        let ceiling = if clamp_to_t_max { t_max } else { censored };
+        let mut best = censored;
+        let mut censored_samples = 0;
+        self.bins.clear();
+        for &i in active {
+            let m = multipliers[i as usize];
+            let bin = match &mut self.photons {
+                Photons::Ideal(table) => table.bin(m, rng),
+                Photons::Circuits(bank) => {
                     debug_assert!(m.is_power_of_two() && m <= 8);
                     bank.sample(m.trailing_zeros() as u8, rng)
-                }
-                None => sample_binned_ttf(m as f64 * lambda0 * self.rate_derating, t_max, rng),
-            };
-            let bin = match sample {
-                Some(b) => b,
-                None => {
-                    self.stats.censored_samples += 1;
-                    if clamp_to_t_max {
-                        t_max
-                    } else {
-                        continue;
-                    }
+                        .unwrap_or(censored)
                 }
             };
-            match best_bin {
-                Some(best) if bin > best => {}
-                Some(best) if bin == best => self.tied.push(i),
-                _ => {
-                    best_bin = Some(bin);
-                    self.tied.clear();
-                    self.tied.push(i);
+            censored_samples += u64::from(bin == censored);
+            let bin = bin.min(ceiling);
+            best = best.min(bin);
+            self.bins.push(bin);
+        }
+        self.stats.label_evaluations += active.len() as u64;
+        self.stats.censored_samples += censored_samples;
+        self.tied.clear();
+        if best <= t_max {
+            for (&i, &bin) in active.iter().zip(&self.bins) {
+                if bin == best {
+                    self.tied.push(i as usize);
                 }
             }
         }
@@ -314,7 +370,7 @@ impl RsuG {
         };
         RaceResult {
             winner,
-            winning_bin: best_bin,
+            winning_bin: (best <= t_max).then_some(best),
             tie_size,
         }
     }
@@ -368,7 +424,7 @@ impl SiteSampler for RsuG {
                 // Under ClampToTMax a winner exists whenever any label is
                 // active, so reaching here means everything was cut off.
                 CensoredPolicy::ClampToTMax | CensoredPolicy::KeepCurrent => {
-                    if self.multipliers.iter().all(|&m| m == 0) {
+                    if self.active.is_empty() {
                         self.stats.all_cutoff_keeps += 1;
                     } else {
                         self.stats.all_censored_fallbacks += 1;
@@ -391,12 +447,14 @@ impl SiteSampler for RsuG {
 }
 
 impl RsuG {
-    /// Back-end over the front-end's multiplier buffer (avoids borrowing
-    /// conflicts between the buffers and `race`).
+    /// Back-end over the front-end's buffers (taken out for the race to
+    /// avoid borrowing conflicts).
     fn race_current<R: Rng + ?Sized>(&mut self, clamp: bool, rng: &mut R) -> RaceResult {
         let multipliers = std::mem::take(&mut self.multipliers);
-        let result = self.race(&multipliers, clamp, rng);
+        let active = std::mem::take(&mut self.active);
+        let result = self.race_active(&multipliers, &active, clamp, rng);
         self.multipliers = multipliers;
+        self.active = active;
         result
     }
 }

@@ -34,13 +34,18 @@ use retrsu_serve::{
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
+/// The batch job the scenarios hold the worker with. 2000 sweeps take
+/// about 100 ms in a release build, so it is still running when the
+/// next submit lands (a preemptor, or the overflow of the shed gate),
+/// even with every thread pinned to one loaded CPU, and with room for a
+/// much faster kernel.
 fn victim_spec() -> JobSpec {
     JobSpec {
         id: "victim-seg".into(),
         tenant: "tenant-batch".into(),
         priority: Priority::Batch,
         seed: 31,
-        iterations: 40,
+        iterations: 2_000,
         threads: 1,
         kind: JobKind::Segmentation {
             width: 24,

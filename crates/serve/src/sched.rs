@@ -182,8 +182,6 @@ pub struct Pending {
     pub sweeps_done: u64,
     /// Arrival order (FIFO tie-break key).
     pub submit_index: u64,
-    /// Server-clock submission time.
-    pub submit_t_ms: f64,
     /// Server-clock first-dispatch time, once started.
     pub first_start_t_ms: Option<f64>,
     /// Cached copy of the tenant's served-sweep count, kept in sync by
@@ -194,7 +192,7 @@ pub struct Pending {
 
 impl Pending {
     /// A fresh entry for a just-admitted spec.
-    pub fn new(spec: JobSpec, submit_index: u64, submit_t_ms: f64) -> Self {
+    pub fn new(spec: JobSpec, submit_index: u64) -> Self {
         let digest = spec.digest();
         let cost = spec.cost_estimate();
         Pending {
@@ -207,7 +205,6 @@ impl Pending {
             preemptions: 0,
             sweeps_done: 0,
             submit_index,
-            submit_t_ms,
             first_start_t_ms: None,
             served_cache: 0,
         }
@@ -465,11 +462,7 @@ mod tests {
         let mut queue = AdmissionQueue::new();
         for (index, (id, tenant, priority)) in entries.iter().enumerate() {
             queue.admit(tenant, *priority);
-            queue.push(Pending::new(
-                spec(id, tenant, *priority),
-                index as u64,
-                index as f64,
-            ));
+            queue.push(Pending::new(spec(id, tenant, *priority), index as u64));
         }
         queue
     }
@@ -593,7 +586,7 @@ mod tests {
         spec: JobSpec,
         index: u64,
     ) -> AdmissionOutcome {
-        queue.admit_bounded(Pending::new(spec, index, index as f64), limits)
+        queue.admit_bounded(Pending::new(spec, index), limits)
     }
 
     #[test]
@@ -754,7 +747,7 @@ mod tests {
             ..QueueLimits::unbounded()
         };
         queue.admit("hog", Priority::Batch);
-        let mut running = Pending::new(costly_spec("run", "hog", Priority::Batch, 10_000), 0, 0.0);
+        let mut running = Pending::new(costly_spec("run", "hog", Priority::Batch, 10_000), 0);
         running.started = true;
         queue.push(running);
         queue.credit("hog", 1_000);

@@ -414,7 +414,7 @@ impl Scheduler {
             return;
         }
         let id = spec.id.clone();
-        let pending = Pending::new(spec, self.submit_counter, now);
+        let pending = Pending::new(spec, self.submit_counter);
         self.submit_counter += 1;
         let victim = match self.queue.admit_bounded(pending, &self.config.limits) {
             AdmissionOutcome::Admitted => None,
@@ -865,6 +865,12 @@ mod tests {
     use crate::events::validate_lifecycle;
     use crate::spec::JobKind;
 
+    /// Sweeps of a job that must still be running when the test thread's
+    /// next submit lands. About 50 ms in a release build: far longer than
+    /// that submit's round trip, even with every thread pinned to one
+    /// loaded CPU, and with room for a much faster kernel.
+    const HOLD_SWEEPS: usize = 2_000;
+
     fn spec(id: &str, tenant: &str, priority: Priority, iterations: usize) -> JobSpec {
         JobSpec {
             id: id.into(),
@@ -931,7 +937,7 @@ mod tests {
             quantum: 1_000, // no quantum slicing: only preemption can interleave
             ..ServerConfig::default()
         });
-        let batch = spec("bg", "tenant-b", Priority::Batch, 60);
+        let batch = spec("bg", "tenant-b", Priority::Batch, HOLD_SWEEPS);
         handle.submit(&batch).unwrap();
         handle.wait_for("bg", JobState::Started);
         let urgent = spec("fg", "tenant-i", Priority::Interactive, 5);
@@ -942,7 +948,7 @@ mod tests {
         // The batch job was preempted at least once and still finished.
         let bg = outcome.result("bg").expect("batch job completed");
         assert!(bg.preemptions >= 1, "expected a preemption, got {bg:?}");
-        assert_eq!(bg.iterations, 60);
+        assert_eq!(bg.iterations, HOLD_SWEEPS);
         // The interactive job finished before the batch job.
         let order: Vec<&str> = outcome
             .events
@@ -1228,7 +1234,7 @@ mod tests {
             ..ServerConfig::default()
         });
         handle
-            .submit(&spec("b1", "t", Priority::Batch, 30))
+            .submit(&spec("b1", "t", Priority::Batch, HOLD_SWEEPS))
             .unwrap();
         handle.wait_for("b1", JobState::Started);
         // The only batch slot is running (started jobs are never

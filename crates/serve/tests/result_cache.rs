@@ -98,7 +98,9 @@ fn cache_hits_agree_with_recompute_at_one_two_and_seven_threads() {
 
 #[test]
 fn preempted_then_resumed_jobs_populate_the_cache_correctly() {
-    let victim = seg_spec("victim", 77, 40, 1);
+    // 2000 sweeps (about 50 ms in a release build): still running when
+    // the urgent submit lands, with room for a much faster kernel.
+    let victim = seg_spec("victim", 77, 2_000, 1);
     let handle = serve(config(64, 1_000)); // only preemption interleaves
     handle.submit(&victim).unwrap();
     handle.wait_for("victim", JobState::Started);

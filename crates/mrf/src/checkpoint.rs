@@ -68,7 +68,7 @@
 use crate::field::LabelField;
 use crate::grid::Grid;
 use crate::model::Label;
-use crate::solver::NumericPolicy;
+use crate::solver::{NumericPolicy, SolveReport};
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -145,8 +145,8 @@ impl From<io::Error> for CheckpointError {
 /// Pass to [`SweepSolver::resume`](crate::SweepSolver::resume) or
 /// [`ParallelSweepSolver::resume`](crate::ParallelSweepSolver::resume);
 /// the resumed report then contains the *full* history (restored
-/// prefix plus new iterations), so convergence windows and
-/// `final_energy` behave as if the run was never interrupted.
+/// prefix plus new iterations), so the history and `final_energy`
+/// behave as if the run was never interrupted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumeState {
     /// First iteration the resumed run executes (iterations
@@ -163,6 +163,20 @@ pub struct ResumeState {
     /// with full sweeps (or, if the solver enables active scheduling,
     /// a conservative all-active worklist).
     pub active_sites: Option<Vec<bool>>,
+}
+
+impl From<SolveReport> for ResumeState {
+    /// Where a finished or stopped run left its chain: a solver resumed
+    /// from here with the same settings continues it bit-identically.
+    fn from(report: SolveReport) -> Self {
+        ResumeState {
+            start_iteration: report.iterations_run,
+            energy: report.final_energy(),
+            labels_changed: report.labels_changed,
+            energy_history: report.energy_history,
+            active_sites: report.active_sites,
+        }
+    }
 }
 
 /// A complete, serializable snapshot of a sweep engine mid-run.

@@ -23,7 +23,7 @@
 //!   implementations live in the `rsu` crate.
 //! * [`Schedule`] — simulated-annealing temperature schedules.
 //! * [`solve`] / [`SweepSolver`] — the outer MCMC loop with energy
-//!   tracking and convergence detection.
+//!   tracking and a stop flag polled at every sweep boundary.
 //! * [`SweepObserver`] / [`EnergyTrace`] — zero-overhead-when-off sweep
 //!   tracing plus convergence diagnostics (autocorrelation ESS,
 //!   Gelman–Rubin PSRF, iterations-to-within-ε), honoured identically by

@@ -5,9 +5,10 @@
 //! trajectories), so the solvers expose a zero-overhead-when-off
 //! observation hook: every sweep engine accepts a [`SweepObserver`] —
 //! [`SweepSolver`] and [`ParallelSweepSolver`] through their `observer`
-//! builder field (default [`NoopObserver`]), the `rsu` crate's
-//! `RsuArray::sweep_parallel` as an argument — and a disabled observer
-//! leaves the engine bit-identical to its unobserved behaviour.
+//! builder field (default [`NoopObserver`]), whatever band workers the
+//! latter runs on (the `rsu` crate's `RsuArray` included) — and a
+//! disabled observer leaves the engine bit-identical to its unobserved
+//! behaviour.
 //!
 //! # The observer determinism contract
 //!
@@ -29,7 +30,7 @@
 //! * **Deterministic site replay.** Per-site hooks are driven after
 //!   each checkerboard phase by diffing the pre-phase snapshot against
 //!   the updated field in raster order
-//!   ([`replay_phase_site_updates`]), not by the racing workers, so
+//!   (`replay_phase_site_updates`), not by the racing workers, so
 //!   update events arrive in the same order at any thread count. The
 //!   sequential engine emits them inline, which is the same raster
 //!   order.
@@ -242,7 +243,7 @@ impl SweepObserver for FanOut<'_> {
 /// event sequence is independent of how the phase was sharded across
 /// threads — this is what makes per-site observation safe in the
 /// parallel engines.
-pub fn replay_phase_site_updates<O: SweepObserver + ?Sized>(
+pub(crate) fn replay_phase_site_updates<O: SweepObserver + ?Sized>(
     before: &LabelField,
     after: &LabelField,
     parity: usize,

@@ -244,24 +244,41 @@ impl FaultPlan {
             .find(|&u| !self.unit_disabled(u, iteration))
     }
 
+    /// How `unit`'s band is served during `iteration`, in an array of
+    /// `units` units: in place unless the unit is retired, then per the
+    /// policy by a stand-in charged to the remap target, or by the host.
+    pub(crate) fn service(&self, unit: usize, units: usize, iteration: u64) -> UnitService {
+        if !self.unit_disabled(unit, iteration) {
+            return UnitService::InPlace;
+        }
+        let target = match self.policy {
+            DegradePolicy::RemapToHealthy => self.remap_target(unit, units, iteration),
+            DegradePolicy::SoftwareFallback => None,
+        };
+        match target {
+            Some(target) => UnitService::Remapped { target },
+            // Every unit retired: only the host can keep the chain going.
+            None => UnitService::Software,
+        }
+    }
+
     /// Faults whose activation sweep is exactly `iteration` — the ones
     /// an observer should be told about during that sweep.
     pub fn activations_at(&self, iteration: u64) -> impl Iterator<Item = &ScheduledFault> {
         self.faults.iter().filter(move |f| f.sweep == iteration)
     }
 
-    /// Analytically replays the band-mapped degradation of
-    /// [`crate::RsuArray::sweep_parallel`] over sweeps `0..sweeps` of a
-    /// `width × height` checkerboard chain, without running the chain.
+    /// Analytically replays the band-mapped degradation of a
+    /// [`crate::RsuArray`] over sweeps `0..sweeps` of a `width × height`
+    /// checkerboard chain, without running the chain.
     ///
     /// Because which unit serves which band is a pure function of
     /// `(plan, iteration)` and the band geometry, the load accounting
     /// is too: the result is bit-identical to the
     /// [`DegradationReport`] the array accumulates while actually
-    /// sampling (the tests pin this). That makes it both a cheap
-    /// resume-safe artifact source — a driver resuming mid-run can
-    /// reconstruct the full report from the plan alone — and the test
-    /// oracle for the measured accounting.
+    /// sampling (the tests pin this). That makes it a cheap resume-safe
+    /// artifact source: a driver resuming mid-run can reconstruct the
+    /// full report from the plan alone.
     pub fn predicted_degradation(
         &self,
         units: usize,
@@ -306,20 +323,13 @@ impl FaultPlan {
     ) {
         for sites in band_sites {
             for (band, &count) in sites.iter().enumerate() {
-                if !self.unit_disabled(band, iteration) {
-                    report.unit_sites[band] += count;
-                    continue;
-                }
-                let target = match self.policy {
-                    DegradePolicy::RemapToHealthy => self.remap_target(band, units, iteration),
-                    DegradePolicy::SoftwareFallback => None,
-                };
-                match target {
-                    Some(target) => {
+                match self.service(band, units, iteration) {
+                    UnitService::InPlace => report.unit_sites[band] += count,
+                    UnitService::Remapped { target } => {
                         report.unit_sites[target] += count;
                         report.remapped_sites += count;
                     }
-                    None => report.software_sites += count,
+                    UnitService::Software => report.software_sites += count,
                 }
             }
         }
@@ -327,8 +337,23 @@ impl FaultPlan {
     }
 }
 
-/// Per-(parity, band) site counts of the checkerboard band geometry
-/// used by [`crate::RsuArray::sweep_parallel`].
+/// How one unit's band is served during one sweep
+/// ([`FaultPlan::service`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UnitService {
+    /// The unit itself serves its band (healthy, or bleached and
+    /// derated in place).
+    InPlace,
+    /// Retired; a stand-in serves the band and healthy unit `target`
+    /// absorbs the load.
+    Remapped { target: usize },
+    /// Retired; the host's software Gibbs kernel serves the band
+    /// (costing host time, not unit cycles).
+    Software,
+}
+
+/// Per-(parity, band) site counts of the checkerboard band geometry an
+/// [`crate::RsuArray`] runs on: unit `i` serves band `i`.
 fn band_site_table(units: usize, width: usize, height: usize) -> [Vec<u64>; 2] {
     let bands = units.min(height.max(1));
     let mut band_sites = [vec![0u64; bands], vec![0u64; bands]];
@@ -349,9 +374,8 @@ fn band_site_table(units: usize, width: usize, height: usize) -> [Vec<u64>; 2] {
 ///
 /// Accumulated per sweep by [`crate::RsuArray`] while a [`FaultPlan`] is
 /// installed, and computable analytically from the plan alone via
-/// [`FaultPlan::predicted_degradation`] (the two agree exactly for the
-/// band-mapped parallel sweep mode — degradation is a pure function of
-/// `(plan, iteration)`).
+/// [`FaultPlan::predicted_degradation`] (the two agree exactly —
+/// degradation is a pure function of `(plan, iteration)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationReport {
     /// Sites served by each unit, including load absorbed from retired

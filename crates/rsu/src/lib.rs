@@ -69,7 +69,7 @@ mod race;
 pub mod sampler;
 pub mod scaling;
 
-pub use array::{ArraySweepReport, RsuArray};
+pub use array::RsuArray;
 pub use config::{
     CensoredPolicy, Conversion, PhotonPath, RateControl, RsuConfig, RsuConfigBuilder, TieBreak,
 };

@@ -1,9 +1,10 @@
 //! Integration tests for checkpoint/resume of [`RsuArray`] chains —
 //! healthy and fault-degraded — via [`mrf::Checkpoint`].
 //!
-//! The array is driven sweep-by-sweep by its caller, so "resume" means:
-//! restore the field from the checkpoint, build a *fresh* array (same
-//! config, same fault plan) and continue at the stored iteration index.
+//! The checkerboard solver sweeps the array, so "resume" means: restore
+//! the field and the solver state from the checkpoint, build a *fresh*
+//! array (same config, same fault plan) and continue at the stored
+//! iteration index.
 //! That is bit-identical because every per-sweep input is a pure
 //! function of the absolute iteration: the per-site RNG streams, the
 //! annealing temperature and the fault
@@ -11,8 +12,8 @@
 //! off elapsed array history).
 
 use mrf::{
-    Checkpoint, DistanceFn, FaultRecord, LabelField, MrfModel, NoopObserver, Schedule,
-    SweepObserver, TabularMrf,
+    Checkpoint, DistanceFn, FaultRecord, LabelField, MrfModel, NoopObserver, ParallelSweepSolver,
+    ResumeState, Schedule, SolveReport, SweepObserver, TabularMrf,
 };
 use rand::SeedableRng;
 use rsu::{DegradePolicy, FaultKind, FaultPlan, RsuArray, RsuConfig, ScheduledFault};
@@ -50,26 +51,52 @@ fn degraded_plan() -> FaultPlan {
         })
 }
 
-/// Runs parallel checkerboard sweeps `start..end` on an array.
+/// Runs checkerboard sweeps up to `end` on an array, from the start or
+/// from `resume`, reporting to `observer`.
+fn run_observed<O: SweepObserver>(
+    array: &mut RsuArray,
+    model: &TabularMrf,
+    field: &mut LabelField,
+    resume: Option<ResumeState>,
+    end: usize,
+    threads: usize,
+    observer: O,
+) -> SolveReport {
+    let mut solver = ParallelSweepSolver::new(model)
+        .schedule(schedule())
+        .iterations(end)
+        .threads(threads)
+        .seed(SEED)
+        .observer(observer);
+    if let Some(state) = resume {
+        solver = solver.resume(state);
+    }
+    solver.run_on(field, array)
+}
+
+/// [`run_observed`] without an observer.
 fn run_parallel(
     array: &mut RsuArray,
     model: &TabularMrf,
     field: &mut LabelField,
-    start: usize,
+    resume: Option<ResumeState>,
     end: usize,
     threads: usize,
-) {
-    for iter in start..end {
-        array.sweep_parallel(
-            model,
-            field,
-            schedule().temperature(iter),
-            iter as u64,
-            SEED,
-            threads,
-            &mut NoopObserver,
-        );
-    }
+) -> SolveReport {
+    run_observed(array, model, field, resume, end, threads, NoopObserver)
+}
+
+/// The checkpoint of a run stopped at its report.
+fn capture(field: &LabelField, report: SolveReport) -> Checkpoint {
+    Checkpoint::capture(
+        "rsu-array",
+        field,
+        report.iterations_run,
+        report.final_energy(),
+        report.labels_changed,
+        report.energy_history,
+    )
+    .with_seed(SEED)
 }
 
 /// Records fault activations, like `bench`'s JSONL writer would.
@@ -93,23 +120,22 @@ fn healthy_parallel_array_kill_and_resume_is_bit_identical_across_thread_counts(
         &mut RsuArray::new(RsuConfig::new_design(), UNITS),
         &model,
         &mut reference,
-        0,
+        None,
         total,
         1,
     );
 
     for kill_threads in [1, 2, 7] {
         let mut field = initial_field(&model);
-        run_parallel(
+        let report = run_parallel(
             &mut RsuArray::new(RsuConfig::new_design(), UNITS),
             &model,
             &mut field,
-            0,
+            None,
             k,
             kill_threads,
         );
-        let checkpoint =
-            Checkpoint::capture("rsu-array", &field, k, f64::NAN, 0, Vec::new()).with_seed(SEED);
+        let checkpoint = capture(&field, report);
         let restored = Checkpoint::from_text(&checkpoint.to_text()).unwrap();
         restored.expect_engine("rsu-array").unwrap();
 
@@ -121,7 +147,7 @@ fn healthy_parallel_array_kill_and_resume_is_bit_identical_across_thread_counts(
                 &mut RsuArray::new(RsuConfig::new_design(), UNITS),
                 &model,
                 &mut resumed,
-                restored.next_iteration,
+                Some(restored.resume_state()),
                 total,
                 resume_threads,
             );
@@ -141,19 +167,18 @@ fn degraded_array_kill_and_resume_is_bit_identical() {
     {
         let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
         array.install_faults(degraded_plan());
-        run_parallel(&mut array, &model, &mut reference, 0, total, 2);
+        run_parallel(&mut array, &model, &mut reference, None, total, 2);
     }
 
     // Kill points straddle both fault activations (sweeps 4 and 12).
     for k in [2, 8, 15] {
         let mut field = initial_field(&model);
-        {
+        let report = {
             let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
             array.install_faults(degraded_plan());
-            run_parallel(&mut array, &model, &mut field, 0, k, 3);
-        }
-        let checkpoint =
-            Checkpoint::capture("rsu-array", &field, k, f64::NAN, 0, Vec::new()).with_seed(SEED);
+            run_parallel(&mut array, &model, &mut field, None, k, 3)
+        };
+        let checkpoint = capture(&field, report);
         let restored = Checkpoint::from_text(&checkpoint.to_text()).unwrap();
         for resume_threads in [1, 7] {
             let mut resumed = restored.restore_field();
@@ -163,7 +188,7 @@ fn degraded_array_kill_and_resume_is_bit_identical() {
                 &mut array,
                 &model,
                 &mut resumed,
-                restored.next_iteration,
+                Some(restored.resume_state()),
                 total,
                 resume_threads,
             );
@@ -185,17 +210,15 @@ fn fault_activations_are_emitted_exactly_once_across_a_kill_resume_boundary() {
         let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
         array.install_faults(degraded_plan());
         let mut field = initial_field(&model);
-        for iter in 0..total {
-            array.sweep_parallel(
-                &model,
-                &mut field,
-                schedule().temperature(iter),
-                iter as u64,
-                SEED,
-                2,
-                &mut uninterrupted,
-            );
-        }
+        run_observed(
+            &mut array,
+            &model,
+            &mut field,
+            None,
+            total,
+            2,
+            &mut uninterrupted,
+        );
     }
     assert_eq!(
         uninterrupted.0,
@@ -210,40 +233,27 @@ fn fault_activations_are_emitted_exactly_once_across_a_kill_resume_boundary() {
     // concatenated stream then equals the uninterrupted one.
     let mut first_half = FaultRecorder::default();
     let mut field = initial_field(&model);
-    {
+    let report = {
         let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
         array.install_faults(degraded_plan());
-        for iter in 0..8 {
-            array.sweep_parallel(
-                &model,
-                &mut field,
-                schedule().temperature(iter),
-                iter as u64,
-                SEED,
-                2,
-                &mut first_half,
-            );
-        }
-    }
-    let checkpoint =
-        Checkpoint::capture("rsu-array", &field, 8, f64::NAN, 0, Vec::new()).with_seed(SEED);
+        run_observed(&mut array, &model, &mut field, None, 8, 2, &mut first_half)
+    };
+    let checkpoint = capture(&field, report);
     let restored = Checkpoint::from_text(&checkpoint.to_text()).unwrap();
     let mut second_half = FaultRecorder::default();
     let mut resumed = restored.restore_field();
     {
         let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
         array.install_faults(degraded_plan());
-        for iter in restored.next_iteration..total {
-            array.sweep_parallel(
-                &model,
-                &mut resumed,
-                schedule().temperature(iter),
-                iter as u64,
-                SEED,
-                2,
-                &mut second_half,
-            );
-        }
+        run_observed(
+            &mut array,
+            &model,
+            &mut resumed,
+            Some(restored.resume_state()),
+            total,
+            2,
+            &mut second_half,
+        );
     }
     let mut combined = first_half.0.clone();
     combined.extend(second_half.0.iter().copied());

@@ -6,7 +6,8 @@
 //!
 //! 1. Array chains are pure functions of `(seed, iteration, site)` —
 //!    resuming needs only the label field, the next iteration index and
-//!    the chain seed, all of which the v1 checkpoint format carries.
+//!    the chain seed (plus the incremental energy the solver carries),
+//!    all of which the v1 checkpoint format holds.
 //! 2. The model and dataset are pure functions of the spec — a resumed
 //!    task rebuilds both from the spec alone, proving the checkpoint
 //!    plus the spec is the *complete* preemption state (nothing hides
@@ -24,13 +25,13 @@ use bench::{
     annealing_schedule, segmentation_schedule, MOTION_DATA_WEIGHT, MOTION_SMOOTH_WEIGHT,
     SEGMENT_DATA_WEIGHT, SEGMENT_SMOOTH_WEIGHT, STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT,
 };
-use mrf::{Checkpoint, LabelField, MrfModel, NoopObserver, Schedule};
+use mrf::{Checkpoint, LabelField, MrfModel, ParallelSweepSolver, ResumeState, Schedule};
 use rand::SeedableRng;
 use rsu::RsuArray;
 use sampling::Xoshiro256pp;
 use scenes::{FlowSpec, SegmentationSpec, StereoSpec};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use vision::{
     metrics::{bad_pixel_percentage, endpoint_error, variation_of_information},
     MotionModel, SegmentModel, StereoModel,
@@ -172,52 +173,6 @@ impl JobModel {
         }
     }
 
-    fn sweep(
-        &self,
-        array: &mut RsuArray,
-        field: &mut LabelField,
-        temperature: f64,
-        iteration: u64,
-        seed: u64,
-        threads: usize,
-    ) {
-        match self {
-            JobModel::Stereo { model, .. } => {
-                array.sweep_parallel(
-                    model,
-                    field,
-                    temperature,
-                    iteration,
-                    seed,
-                    threads,
-                    &mut NoopObserver,
-                );
-            }
-            JobModel::Motion { model, .. } => {
-                array.sweep_parallel(
-                    model,
-                    field,
-                    temperature,
-                    iteration,
-                    seed,
-                    threads,
-                    &mut NoopObserver,
-                );
-            }
-            JobModel::Segmentation { model, .. } => {
-                array.sweep_parallel(
-                    model,
-                    field,
-                    temperature,
-                    iteration,
-                    seed,
-                    threads,
-                    &mut NoopObserver,
-                );
-            }
-        }
-    }
-
     fn score(&self, field: &LabelField) -> (&'static str, f64) {
         match self {
             JobModel::Stereo {
@@ -301,9 +256,11 @@ pub enum SliceStatus {
 pub struct JobTask {
     spec: JobSpec,
     model: Rc<JobModel>,
-    schedule: Schedule,
     field: LabelField,
-    next_sweep: usize,
+    /// Where the chain stands: the next sweep plus the solver's
+    /// incremental energy, flip count and energy history. A chain at
+    /// sweep 0 starts fresh, its energy scanned by the solver.
+    progress: ResumeState,
 }
 
 impl JobTask {
@@ -325,13 +282,17 @@ impl JobTask {
         let model = models.get_or_build(&spec)?;
         let mut rng = Xoshiro256pp::seed_from_u64(spec.seed);
         let field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-        let schedule = model.schedule();
         Ok(JobTask {
             spec,
             model,
-            schedule,
             field,
-            next_sweep: 0,
+            progress: ResumeState {
+                start_iteration: 0,
+                energy: f64::NAN,
+                labels_changed: 0,
+                energy_history: Vec::new(),
+                active_sites: None,
+            },
         })
     }
 
@@ -373,13 +334,11 @@ impl JobTask {
                 "checkpoint field does not match the spec's model",
             ));
         }
-        let schedule = model.schedule();
         Ok(JobTask {
             spec,
             model,
-            schedule,
             field,
-            next_sweep: checkpoint.next_iteration,
+            progress: checkpoint.resume_state(),
         })
     }
 
@@ -390,58 +349,84 @@ impl JobTask {
 
     /// Sweeps completed so far.
     pub fn sweeps_done(&self) -> u64 {
-        self.next_sweep as u64
+        self.progress.start_iteration as u64
     }
 
     /// Whether the iteration budget is exhausted.
     pub fn is_done(&self) -> bool {
-        self.next_sweep >= self.spec.iterations
+        self.progress.start_iteration >= self.spec.iterations
     }
 
-    /// Runs up to `max_sweeps` sweeps on `array`, polling `preempt`
-    /// at every sweep boundary. Temperature follows the application's
-    /// standard schedule indexed by the *global* sweep number, so a
-    /// resumed chain anneals exactly as an uninterrupted one.
+    /// Runs up to `max_sweeps` sweeps on `array` through the
+    /// checkerboard solver, which polls `preempt` before every sweep.
+    /// Temperature follows the application's standard schedule indexed
+    /// by the *global* sweep number, so a resumed chain anneals exactly
+    /// as an uninterrupted one.
     pub fn run_slice(
         &mut self,
         array: &mut RsuArray,
         max_sweeps: usize,
         preempt: &AtomicBool,
     ) -> SliceStatus {
-        let end = self.spec.iterations.min(self.next_sweep + max_sweeps);
-        while self.next_sweep < end {
-            if preempt.load(Ordering::Acquire) {
-                return SliceStatus::Preempted;
+        let end = self
+            .spec
+            .iterations
+            .min(self.progress.start_iteration + max_sweeps);
+        let model = Rc::clone(&self.model);
+        let schedule = model.schedule();
+        let reached = match &*model {
+            JobModel::Stereo { model, .. } => self.advance(model, schedule, array, end, preempt),
+            JobModel::Motion { model, .. } => self.advance(model, schedule, array, end, preempt),
+            JobModel::Segmentation { model, .. } => {
+                self.advance(model, schedule, array, end, preempt)
             }
-            let temperature = self.schedule.temperature(self.next_sweep);
-            self.model.sweep(
-                array,
-                &mut self.field,
-                temperature,
-                self.next_sweep as u64,
-                self.spec.seed,
-                self.spec.threads,
-            );
-            self.next_sweep += 1;
-        }
-        if self.is_done() {
+        };
+        if reached < end {
+            SliceStatus::Preempted
+        } else if self.is_done() {
             SliceStatus::Completed
         } else {
             SliceStatus::Expired
         }
     }
 
+    /// Continues the chain to sweep `end` unless `preempt` stops it
+    /// first; returns the sweep it reached.
+    fn advance<M: MrfModel + Sync>(
+        &mut self,
+        model: &M,
+        schedule: Schedule,
+        array: &mut RsuArray,
+        end: usize,
+        preempt: &AtomicBool,
+    ) -> usize {
+        let mut solver = ParallelSweepSolver::new(model)
+            .schedule(schedule)
+            .iterations(end)
+            .threads(self.spec.threads)
+            .seed(self.spec.seed)
+            .stop_on(preempt);
+        if self.progress.start_iteration > 0 {
+            solver = solver.resume(self.progress.clone());
+        }
+        let report = solver.run_on(&mut self.field, array);
+        if report.iterations_run > 0 {
+            self.progress = report.into();
+        }
+        self.progress.start_iteration
+    }
+
     /// Captures the suspension state in the v1 checkpoint format
-    /// (engine = job id, chain seed recorded, energy NaN — the array
-    /// drivers thread no incremental energy accumulator).
+    /// (engine = job id, chain seed recorded).
     pub fn checkpoint(&self) -> Checkpoint {
+        let progress = &self.progress;
         Checkpoint::capture(
             &self.spec.id,
             &self.field,
-            self.next_sweep,
-            f64::NAN,
-            0,
-            Vec::new(),
+            progress.start_iteration,
+            progress.energy,
+            progress.labels_changed,
+            progress.energy_history.clone(),
         )
         .with_seed(self.spec.seed)
     }

@@ -5,7 +5,7 @@
 use rand::SeedableRng;
 use ret_rsu::mrf::{
     alpha_expansion, belief_propagation, total_energy, DistanceFn, LabelField, MetropolisSampler,
-    MrfModel, NoopObserver, Schedule, SoftwareGibbs, SweepSolver, TabularMrf,
+    MrfModel, ParallelSweepSolver, Schedule, SoftwareGibbs, SweepSolver, TabularMrf,
 };
 use ret_rsu::ret_device::{RetCalibration, RoundRobinArbiter, SharedWaveguide};
 use ret_rsu::rsu::{RsuArray, RsuConfig};
@@ -62,11 +62,12 @@ fn all_solver_families_agree_on_an_easy_problem() {
     assert_eq!(f_bp.disagreement(&truth), 0.0, "loopy BP finds the optimum");
 
     let mut f_array = start;
-    let mut array = RsuArray::new(RsuConfig::new_design(), 8);
-    for i in 0..120 {
-        let t = (3.0f64 * 0.9f64.powi(i)).max(0.05);
-        array.sweep_parallel(&model, &mut f_array, t, i as u64, 4, 2, &mut NoopObserver);
-    }
+    ParallelSweepSolver::new(&model)
+        .schedule(Schedule::geometric(3.0, 0.9, 0.05))
+        .iterations(120)
+        .threads(2)
+        .seed(4)
+        .run_on(&mut f_array, &mut RsuArray::new(RsuConfig::new_design(), 8));
     assert!(
         f_array.disagreement(&truth) < 0.08,
         "array {}",

@@ -9,8 +9,8 @@
 //! (and every archived experiment) silently breaks.
 
 use mrf::{
-    DistanceFn, Grid, Label, LabelField, MrfModel, NoopObserver, PairwiseTable,
-    ParallelSweepSolver, Schedule, SoftwareGibbs, SweepSolver, TabularMrf,
+    DistanceFn, Grid, Label, LabelField, MrfModel, PairwiseTable, ParallelSweepSolver, Schedule,
+    SoftwareGibbs, SweepSolver, TabularMrf,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -76,17 +76,12 @@ fn solve_rsu<M: MrfModel + Sync>(
 ) -> LabelField {
     let mut array = RsuArray::new(RsuConfig::new_design(), 4);
     let mut field = start.clone();
-    for iteration in 0..3u64 {
-        array.sweep_parallel(
-            model,
-            &mut field,
-            1.0,
-            iteration,
-            seed,
-            threads,
-            &mut NoopObserver,
-        );
-    }
+    ParallelSweepSolver::new(model)
+        .schedule(Schedule::constant(1.0))
+        .iterations(3)
+        .threads(threads)
+        .seed(seed)
+        .run_on(&mut field, &mut array);
     field
 }
 

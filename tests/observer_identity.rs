@@ -7,8 +7,8 @@
 //! engines at 1, 2 and 7 host threads.
 
 use mrf::{
-    DistanceFn, Label, LabelField, MrfModel, NoopObserver, ParallelSweepSolver, Schedule,
-    SoftwareGibbs, SweepObserver, SweepRecord, SweepSolver, TabularMrf,
+    DistanceFn, Label, LabelField, MrfModel, ParallelSweepSolver, Schedule, SoftwareGibbs,
+    SweepObserver, SweepRecord, SweepSolver, TabularMrf,
 };
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -153,7 +153,7 @@ proptest! {
     }
 
     /// RSU array, parallel path: observed and unobserved sweeps agree
-    /// on the field and the cycle report at every thread count, and the
+    /// on the field and the solve report at every thread count, and the
     /// site-update stream is thread invariant.
     #[test]
     fn rsu_array_observation_never_perturbs_the_chain(
@@ -164,32 +164,26 @@ proptest! {
         let start = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
         let mut reference: Option<Vec<SiteUpdate>> = None;
         for threads in [1usize, 2, 7] {
-            let run_plain = || {
-                let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-                let mut field = start.clone();
-                let mut reports = Vec::new();
-                for iteration in 0..3u64 {
-                    reports.push(array.sweep_parallel(
-                        &model, &mut field, 1.0, iteration, seed, threads, &mut NoopObserver,
-                    ));
-                }
-                (field, reports)
+            let solver = || {
+                ParallelSweepSolver::new(&model)
+                    .schedule(Schedule::constant(1.0))
+                    .iterations(3)
+                    .threads(threads)
+                    .seed(seed)
             };
-            let (plain_field, plain_reports) = run_plain();
-            let mut array = RsuArray::new(RsuConfig::new_design(), 4);
+            let mut plain_field = start.clone();
+            let plain_report = solver()
+                .run_on(&mut plain_field, &mut RsuArray::new(RsuConfig::new_design(), 4));
             let mut obs_field = start.clone();
             let mut recording = RecordingObserver::default();
-            let mut obs_reports = Vec::new();
-            for iteration in 0..3u64 {
-                obs_reports.push(array.sweep_parallel(
-                    &model, &mut obs_field, 1.0, iteration, seed, threads, &mut recording,
-                ));
-            }
+            let obs_report = solver()
+                .observer(&mut recording)
+                .run_on(&mut obs_field, &mut RsuArray::new(RsuConfig::new_design(), 4));
             prop_assert_eq!(
                 plain_field.as_slice(), obs_field.as_slice(),
                 "observation changed the chain at {} threads", threads
             );
-            prop_assert_eq!(&plain_reports, &obs_reports);
+            prop_assert_eq!(&plain_report, &obs_report);
             let flips: u64 = recording.sweeps.iter().map(|r| r.flips).sum();
             prop_assert_eq!(recording.site_updates.len() as u64, flips);
             match &reference {

@@ -5,18 +5,17 @@
 //! sampling-fidelity error (`rsu::analysis`), then prints the Pareto
 //! frontier of (sampling area, worst λ-ratio error).
 //!
-//! Flags: the shared chain-driver flags (`bench::plan`) except
-//! `--numeric` and `--active` (there is no chain); `--resume` names a
-//! progress file of this driver, not a chain checkpoint.
+//! Flags: of the shared chain-driver flags (`bench::plan`) only
+//! `--trace`. The enumeration runs no chain and takes under a second, so
+//! `--threads`, `--numeric`, `--active`, `--checkpoint-every` and
+//! `--resume` are refused.
 
 use bench::minijson::Value;
 use bench::trace_jsonl::JsonlTraceWriter;
-use bench::{table, write_csv, Args};
+use bench::{table, write_csv, RunPlan};
 use rsu::DegradePolicy;
-use std::path::{Path, PathBuf};
 use uarch::degrade::{degraded_design_points, DegradedDesignPoint, DegradedStudySpec};
-use uarch::explore::{enumerate_parallel, evaluate, pareto_frontier, DesignPoint};
-use uarch::AreaPower;
+use uarch::explore::{enumerate, evaluate, pareto_frontier, DesignPoint};
 
 const TIME_BITS: [u32; 5] = [3, 4, 5, 6, 7];
 const TRUNCS: [f64; 6] = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9];
@@ -31,16 +30,19 @@ const DEGRADE_FAILED_UNITS: [usize; 2] = [1, 3];
 const DEGRADE_SEED: u64 = 2018;
 
 fn main() {
-    let args = Args::from_env("design_frontier", &[]);
-    args.plan
-        .reject("design_frontier", &["--numeric", "--active"]);
-    let (threads, every) = (args.plan.threads, args.plan.checkpoint_every);
-    let (resume, trace_path) = (args.resume, args.plan.trace);
+    let plan = RunPlan::from_args("design_frontier");
+    plan.reject(
+        "design_frontier",
+        &[
+            "--threads",
+            "--numeric",
+            "--active",
+            "--checkpoint-every",
+            "--resume",
+        ],
+    );
     println!("§IV-B6 — synthesis of all (Time_bits, Truncation) design points\n");
-    if threads > 1 {
-        println!("synthesising on {threads} threads (order-preserving, identical output)\n");
-    }
-    let points = enumerate_with_progress(threads, every, resume.as_deref());
+    let points = enumerate(&TIME_BITS, &TRUNCS);
     let frontier = pareto_frontier(&points);
     let chosen = evaluate(5, 0.5);
     let mut rows = Vec::new();
@@ -97,8 +99,8 @@ fn main() {
 
     let degraded = degraded_frontier(&frontier);
 
-    if let Some(path) = trace_path {
-        write_trace(&path, &points, &frontier, &degraded);
+    if let Some(path) = &plan.trace {
+        write_trace(path, &points, &frontier, &degraded);
     }
 }
 
@@ -176,155 +178,6 @@ fn policy_name(policy: DegradePolicy) -> &'static str {
         DegradePolicy::RemapToHealthy => "remap",
         DegradePolicy::SoftwareFallback => "software",
     }
-}
-
-/// Header line of the enumeration progress file.
-const PROGRESS_MAGIC: &str = "design-frontier-progress v1";
-
-/// The full sweep in enumeration order (row-major over
-/// `TIME_BITS × TRUNCS`), the order `enumerate`/`enumerate_parallel`
-/// produce and the progress file indexes into.
-fn sweep_grid() -> Vec<(u32, f64)> {
-    TIME_BITS
-        .iter()
-        .flat_map(|&tb| TRUNCS.iter().map(move |&tr| (tb, tr)))
-        .collect()
-}
-
-/// Enumerates the design grid with checkpoint/resume support. This
-/// driver has no MCMC chain, so its checkpoint is enumeration progress:
-/// the completed [`DesignPoint`]s, every `f64` stored as hex bits so a
-/// resumed sweep reproduces the uninterrupted output bit-exactly.
-/// Without either flag this defers to the parallel fast path.
-fn enumerate_with_progress(
-    threads: usize,
-    every: Option<usize>,
-    resume: Option<&Path>,
-) -> Vec<DesignPoint> {
-    if every.is_none() && resume.is_none() {
-        return enumerate_parallel(&TIME_BITS, &TRUNCS, threads);
-    }
-    let grid = sweep_grid();
-    let mut done: Vec<DesignPoint> = match resume {
-        Some(path) => match load_progress(path, &grid) {
-            Ok(points) => {
-                println!(
-                    "resuming enumeration: {} of {} points already evaluated\n",
-                    points.len(),
-                    grid.len()
-                );
-                points
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume from {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        },
-        None => Vec::new(),
-    };
-    let path = progress_path();
-    for (i, &(tb, tr)) in grid.iter().enumerate().skip(done.len()) {
-        done.push(evaluate(tb, tr));
-        if let Some(every) = every {
-            if (i + 1) % every == 0 || i + 1 == grid.len() {
-                if let Err(e) = save_progress(&path, &done) {
-                    eprintln!(
-                        "warning: failed to write checkpoint {}: {e}",
-                        path.display()
-                    );
-                }
-            }
-        }
-    }
-    done
-}
-
-fn progress_path() -> PathBuf {
-    bench::artifacts_dir().join("design_frontier.ckpt")
-}
-
-/// Writes the progress file atomically (temp file + rename), mirroring
-/// `mrf::Checkpoint::save`.
-fn save_progress(path: &Path, done: &[DesignPoint]) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    let _ = writeln!(text, "{PROGRESS_MAGIC}");
-    let _ = writeln!(text, "done {}", done.len());
-    for p in done {
-        let _ = writeln!(
-            text,
-            "point {} {:016x} {:016x} {:016x} {:016x}",
-            p.time_bits,
-            p.truncation.to_bits(),
-            p.sampling_cost.area_um2.to_bits(),
-            p.sampling_cost.power_mw.to_bits(),
-            p.worst_ratio_error.to_bits()
-        );
-    }
-    text.push_str("end\n");
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Loads a progress file and validates it against the current sweep
-/// grid: the completed points must be a prefix of the enumeration
-/// order, so a file from a different grid (or a different driver) is
-/// rejected instead of silently corrupting the output.
-fn load_progress(path: &Path, grid: &[(u32, f64)]) -> Result<Vec<DesignPoint>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let mut lines = text.lines();
-    if lines.next() != Some(PROGRESS_MAGIC) {
-        return Err(format!("not a `{PROGRESS_MAGIC}` file"));
-    }
-    let count: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("done "))
-        .and_then(|n| n.parse().ok())
-        .ok_or("expected `done <count>`")?;
-    if count > grid.len() {
-        return Err(format!(
-            "{count} completed points for a {}-point sweep",
-            grid.len()
-        ));
-    }
-    let mut done = Vec::with_capacity(count);
-    for (i, &(want_tb, want_tr)) in grid.iter().enumerate().take(count) {
-        let line = lines.next().ok_or("truncated progress file")?;
-        let words: Vec<&str> = line
-            .strip_prefix("point ")
-            .ok_or("expected `point ...`")?
-            .split_whitespace()
-            .collect();
-        if words.len() != 5 {
-            return Err(format!("expected 5 values per point, got {}", words.len()));
-        }
-        let time_bits: u32 = words[0].parse().map_err(|_| "bad time_bits".to_string())?;
-        let mut f64s = words[1..].iter().map(|w| {
-            u64::from_str_radix(w, 16)
-                .map(f64::from_bits)
-                .map_err(|_| format!("bad hex value {w:?}"))
-        });
-        let truncation = f64s.next().unwrap()?;
-        let area_um2 = f64s.next().unwrap()?;
-        let power_mw = f64s.next().unwrap()?;
-        let worst_ratio_error = f64s.next().unwrap()?;
-        if time_bits != want_tb || truncation.to_bits() != want_tr.to_bits() {
-            return Err(format!(
-                "point {i} is ({time_bits}, {truncation}), sweep expects ({want_tb}, {want_tr})"
-            ));
-        }
-        done.push(DesignPoint {
-            time_bits,
-            truncation,
-            sampling_cost: AreaPower { area_um2, power_mw },
-            worst_ratio_error,
-        });
-    }
-    if lines.next() != Some("end") {
-        return Err("missing `end` terminator".to_string());
-    }
-    Ok(done)
 }
 
 /// `--trace` mode: one `"design_point"` record per enumerated

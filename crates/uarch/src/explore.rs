@@ -77,45 +77,6 @@ pub fn enumerate(time_bits: &[u32], truncations: &[f64]) -> Vec<DesignPoint> {
     points
 }
 
-/// Like [`enumerate`], but synthesises design points on up to
-/// `threads` worker threads. The grid is split into contiguous chunks
-/// (one per worker) and every point lands in its enumeration-order
-/// slot, so the result is identical to [`enumerate`]'s for any thread
-/// count.
-pub fn enumerate_parallel(
-    time_bits: &[u32],
-    truncations: &[f64],
-    threads: usize,
-) -> Vec<DesignPoint> {
-    let keys: Vec<(u32, f64)> = time_bits
-        .iter()
-        .flat_map(|&tb| truncations.iter().map(move |&tr| (tb, tr)))
-        .collect();
-    if keys.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.max(1).min(keys.len());
-    if workers == 1 {
-        return keys.iter().map(|&(tb, tr)| evaluate(tb, tr)).collect();
-    }
-    let mut points: Vec<Option<DesignPoint>> = vec![None; keys.len()];
-    let chunk = keys.len().div_ceil(workers);
-    // A panicking worker propagates out of the scope.
-    std::thread::scope(|s| {
-        for (keys, out) in keys.chunks(chunk).zip(points.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (&(tb, tr), slot) in keys.iter().zip(out.iter_mut()) {
-                    *slot = Some(evaluate(tb, tr));
-                }
-            });
-        }
-    });
-    points
-        .into_iter()
-        .map(|p| p.expect("every slot synthesised"))
-        .collect()
-}
-
 /// Extracts the Pareto frontier minimising (area, worst error): a point
 /// survives iff no other point is at least as good on both axes and
 /// strictly better on one.

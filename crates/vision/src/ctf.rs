@@ -12,7 +12,7 @@ use crate::error::VisionError;
 use crate::image::GrayImage;
 use crate::motion::MotionModel;
 use crate::pyramid::Pyramid;
-use mrf::{LabelField, MrfModel, ParallelSweepSolver, Schedule, SiteSampler, SweepSolver};
+use mrf::{LabelField, MrfModel, Schedule, SiteSampler, SweepSolver};
 use rand::Rng;
 
 /// Configuration for the coarse-to-fine solver.
@@ -105,78 +105,6 @@ impl CoarseToFine {
                 .schedule(self.schedule)
                 .iterations(self.iterations)
                 .run(&mut field, sampler, rng);
-            for (site, entry) in flow.iter_mut().enumerate() {
-                let (dx, dy) = model.label_to_flow(field.get(site));
-                entry.0 += dx;
-                entry.1 += dy;
-            }
-        }
-        Ok(flow)
-    }
-
-    /// Estimates dense flow like [`solve`](Self::solve), but runs each
-    /// level's sweeps on the parallel checkerboard engine with
-    /// `threads` worker threads.
-    ///
-    /// Randomness is fully determined by `seed` (per-level initial
-    /// fields and per-site update streams), so the flow is identical
-    /// for every thread count — threads only change wall-clock time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction errors (bad window/weights or
-    /// frames too small for the coarsest level), tagged with the
-    /// pyramid level that failed
-    /// ([`VisionError::PyramidLevel`]).
-    pub fn solve_parallel<S>(
-        &self,
-        frame1: &GrayImage,
-        frame2: &GrayImage,
-        sampler: &S,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Vec<(isize, isize)>, VisionError>
-    where
-        S: SiteSampler + Clone + Send,
-    {
-        use rand::SeedableRng;
-        if frame1.width() != frame2.width() || frame1.height() != frame2.height() {
-            return Err(VisionError::DimensionMismatch {
-                a: (frame1.width(), frame1.height()),
-                b: (frame2.width(), frame2.height()),
-            });
-        }
-        let pyr1 = Pyramid::new(frame1, self.levels);
-        let pyr2 = Pyramid::new(frame2, self.levels);
-        let levels = pyr1.len().min(pyr2.len());
-        let coarsest = &pyr1.levels()[levels - 1];
-        let mut flow: Vec<(isize, isize)> = vec![(0, 0); coarsest.width() * coarsest.height()];
-        for level in (0..levels).rev() {
-            let f1 = &pyr1.levels()[level];
-            let f2 = &pyr2.levels()[level];
-            if level < levels - 1 {
-                flow = pyr1.upsample_flow(&flow, level + 1);
-            }
-            let warped = warp_by_flow(f2, &flow);
-            let model = MotionModel::new(
-                f1,
-                &warped,
-                self.window,
-                self.data_weight,
-                self.smooth_weight,
-            )
-            .map_err(|e| e.at_pyramid_level(level))?;
-            // Per-level deterministic seeds: the initial field comes
-            // from a SplitMix64 chain, the sweeps from per-site streams.
-            let level_seed = seed ^ (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut init_rng = sampling::SplitMix64::seed_from_u64(level_seed);
-            let mut field = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
-            ParallelSweepSolver::new(&model)
-                .schedule(self.schedule)
-                .iterations(self.iterations)
-                .threads(threads)
-                .seed(level_seed)
-                .run(&mut field, sampler);
             for (site, entry) in flow.iter_mut().enumerate() {
                 let (dx, dy) = model.label_to_flow(field.get(site));
                 entry.0 += dx;
@@ -302,25 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solve_is_thread_invariant_and_recovers_motion() {
-        let f1 = textured(48, 48);
-        let f2 = translated(&f1, 5, -4);
-        let ctf = CoarseToFine::new(2);
-        let run = |threads| {
-            ctf.solve_parallel(&f1, &f2, &SoftwareGibbs::new(), 17, threads)
-                .unwrap()
-        };
-        let flow1 = run(1);
-        assert_eq!(flow1, run(3), "thread count changed the flow");
-        let hits = (8..40)
-            .flat_map(|y| (8..40).map(move |x| (x, y)))
-            .filter(|&(x, y)| flow1[y * 48 + x] == (5, -4))
-            .count();
-        let frac = hits as f64 / (32.0 * 32.0);
-        assert!(frac > 0.7, "recovered only {frac} of interior pixels");
-    }
-
-    #[test]
     fn rejects_mismatched_frames() {
         let f1 = textured(16, 16);
         let f2 = textured(17, 16);
@@ -359,12 +268,5 @@ mod tests {
             }
             other => panic!("expected PyramidLevel, got {other}"),
         }
-        let par_err = ctf
-            .solve_parallel(&f1, &f2, &SoftwareGibbs::new(), 5, 2)
-            .unwrap_err();
-        assert!(matches!(
-            par_err,
-            VisionError::PyramidLevel { level: 1, .. }
-        ));
     }
 }

@@ -56,5 +56,8 @@ pub use sched::{AdmissionOutcome, AdmissionQueue, Pending, QueueLimits, ResumeFr
 pub use server::{
     serve, Admission, ServeClient, ServeHandle, ServeOutcome, ServerConfig, WaitOutcome,
 };
-pub use spec::{field_digest, fnv1a, JobKind, JobResult, JobSpec, Priority, SpecError};
+pub use spec::{
+    field_digest, fnv1a, JobKind, JobResult, JobSpec, Priority, SpecError, MAX_DATA_COST_ENTRIES,
+    MAX_LABELS,
+};
 pub use stats::percentile;

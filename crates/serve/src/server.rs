@@ -931,6 +931,20 @@ mod tests {
     }
 
     #[test]
+    fn oversized_specs_are_refused_at_submit() {
+        let handle = serve(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        for spec in crate::spec::tests::oversized_specs() {
+            assert!(handle.submit(&spec).is_err(), "{} was admitted", spec.id);
+        }
+        let outcome = handle.finish();
+        assert!(outcome.events.is_empty());
+        assert!(outcome.results.is_empty());
+    }
+
+    #[test]
     fn interactive_job_preempts_a_saturated_batch_fleet() {
         let handle = serve(ServerConfig {
             workers: 1,

@@ -42,6 +42,9 @@ cargo run --release -q -p bench --bin numeric_smoke
 echo "==> fig_fault_sweep smoke (tiny degraded grid, trace re-parse self-check)"
 cargo run --release -q -p bench --bin fig_fault_sweep -- --smoke --trace artifacts/fig_fault_sweep_smoke.jsonl
 
+echo "==> design_frontier (design-space enumeration: both CSVs and the JSONL trace)"
+cargo run --release -q -p bench --bin design_frontier -- --trace artifacts/design_frontier.jsonl
+
 echo "==> serve smoke (forced preemption, lifecycle trace re-parse, deterministic rerun, cache-hit digest equality, NaN-safe percentile, forced-shed admission gate)"
 cargo run --release -q -p retrsu-serve --bin serve_smoke
 
